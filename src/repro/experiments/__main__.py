@@ -67,9 +67,8 @@ exceeding that wall time. ``--fault-plan`` injects deterministic chaos
 for testing (see :mod:`repro.experiments.faults`).
 
 Exit codes: 0 success; 1 a run timed out or crashed its worker under
-``--on-error fail``; 2 invalid CLI input; 3 the test-only injected
-sweep kill; 4 the batch completed under ``--on-error continue`` but
-some runs failed; 130 interrupted (Ctrl-C).
+``--on-error fail``; 2 invalid CLI input; 4 the batch completed under
+``--on-error continue`` but some runs failed; 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ from typing import Dict, List, Optional
 from repro.experiments.faults import FaultPlan
 from repro.experiments.runner import (
     ErrorPolicy,
-    InjectedSweepFault,
     RunRecord,
     RunTimeoutError,
     WorkerCrashError,
@@ -135,10 +133,9 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="URL",
         help="checkpoint runs into a result store and skip runs already "
-        "present: sqlite:PATH | dir:PATH, or a bare path dispatched on "
-        "suffix (.sqlite/.db = sqlite backend, anything else = an "
-        "export-tree directory); an interrupted sweep re-issued "
-        "against the same store resumes instead of restarting",
+        "present: sqlite:PATH (a sqlite file) | dir:PATH (an export-tree "
+        "directory); an interrupted sweep re-issued against the same "
+        "store resumes instead of restarting",
     )
 
 
@@ -605,7 +602,7 @@ def _build_study(spec: ScenarioSpec, args, aligned_seeds: bool = False) -> Study
 def cmd_sweep(args) -> int:
     spec = get_spec(args.experiment)
     if args.resume and not args.store:
-        raise ParameterValueError("--resume requires --store PATH")
+        raise ParameterValueError("--resume requires --store URL")
     # Scenario default axes (e.g. meshgen's topology kinds) expand
     # unless the CLI pinned them — the Study builder applies that rule.
     study = _build_study(spec, args)
@@ -670,7 +667,7 @@ def cmd_compare(args) -> int:
                 "sweeps, not directory or store targets"
             )
         if os.path.isfile(args.target):
-            with open_store(args.target) as store:
+            with open_store("sqlite:" + args.target) as store:
                 results = ResultSet.from_store(store)
                 # Materialise within the context: lazy loaders hold the
                 # store connection, and rendering needs only scalars
@@ -828,11 +825,6 @@ def main(argv=None) -> int:
         if args.command == "validate-fidelity":
             return cmd_validate_fidelity(args)
         return cmd_sweep(args)
-    except InjectedSweepFault as error:
-        # Test-only fault injection (REPRO_SWEEP_FAULT_AFTER): the sweep
-        # died mid-flight on purpose; the store keeps what completed.
-        print(error, file=sys.stderr)
-        return 3
     except KeyboardInterrupt:
         # The runner's cleanup path has already terminated the worker
         # pool; exit with the conventional SIGINT status.

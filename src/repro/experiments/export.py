@@ -215,12 +215,3 @@ def export_failures(failures: Iterable, out_dir: str) -> Optional[str]:
         handle.write("\n")
     return path
 
-
-if __name__ == "__main__":
-    # The standalone CLI that used to live here (run one experiment and
-    # export it) was a deprecated shim for one release and is gone.
-    print(
-        "the repro.experiments.export CLI has been removed; use\n"
-        "  python -m repro.experiments run <id> --out DIR"
-    )
-    raise SystemExit(2)

@@ -28,11 +28,10 @@ var)::
 
 The first matching clause wins. Example: ``2=raise+5=crash+8=hang:60``
 injects one raising run, one worker crash and one hang into a batch.
-
-This generalises the single-purpose ``REPRO_SWEEP_FAULT_AFTER`` kill
-hook (still supported — see :data:`repro.experiments.runner.FAULT_ENV`),
-which kills the *whole sweep* after N runs; a fault plan instead breaks
-*individual runs* so the per-run error policy can be exercised.
+Under the default ``fail`` policy a single ``N=raise`` clause aborts a
+whole sweep at request N, once every request before it has completed
+and been checkpointed — the deterministic way to interrupt a sweep and
+test its resume.
 """
 
 from __future__ import annotations
@@ -207,8 +206,3 @@ class FaultPlan:
             if clause.matches(run_id, index):
                 return clause.action
         return None
-
-    @property
-    def needs_worker(self) -> bool:
-        """Whether the plan can kill a process (forces pooled execution)."""
-        return any(clause.action.kind == "crash" for clause in self.clauses)

@@ -7,22 +7,25 @@ order regardless of worker count, and every run's seed is derived from
 the request alone, so a parallel sweep is byte-identical to the same
 sweep run serially (``tests/test_runner.py`` locks this in).
 
-Execution is supervised: a worker raising, hanging past ``run_timeout``,
-or dying outright (segfault, OOM kill, ``os._exit``) is detected,
-attributed to the run that caused it, and handled per the
-:class:`ErrorPolicy` — abort the batch (``fail``, the default), record a
-typed :class:`RunFailure` and keep going (``continue``), or retry with
-capped exponential backoff first (``retry:N``). A run that crashes its
-worker while others share the pool is re-run alone in a one-worker
-quarantine lane so the poison run is identified exactly and innocent
-runs are never charged for its crash.
+Every batch goes through one dispatch loop (:meth:`SweepRunner.run`)
+over one of two *lanes*. The inline lane runs attempts in the caller's
+thread and keeps a raising run's original exception object; the process
+lane runs them in a supervised ``ProcessPoolExecutor`` that attributes
+a worker raising, hanging past ``run_timeout``, or dying outright
+(segfault, OOM kill, ``os._exit``) to the run that caused it. The loop
+does the rest once, whichever lane ran the attempt: retries with capped
+exponential backoff, typed :class:`RunFailure` records, the
+:class:`ErrorPolicy` (``fail``, the default, aborts the batch at the
+failed run's position; ``continue`` records and keeps going),
+checkpointing into a store, run lifecycle events, and releasing records
+in request order.
 
 Design rules that keep the determinism guarantee cheap:
 
 * a request is a pure function of (spec id, kwargs): workers share no
   state and records are always *released* in request order, whatever
   order completions arrive in;
-* inline and pooled execution catch errors at the same stack depth
+* both lanes catch a run's errors at the same stack depth
   (:func:`_attempt`), so recorded failure tracebacks are byte-identical
   at any ``--jobs`` count;
 * exported artefacts never contain wall-clock times or timestamps —
@@ -38,9 +41,9 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import threading
 import time
 import traceback as traceback_module
+from collections import Counter, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures import BrokenExecutor, CancelledError
 from dataclasses import dataclass, field
@@ -224,20 +227,6 @@ class WorkerRunError(RuntimeError):
     """A worker's exception could not be pickled back; carries its text."""
 
 
-class InjectedSweepFault(RuntimeError):
-    """The test-only fault raised by the :data:`FAULT_ENV` kill hook."""
-
-
-#: Setting this env var to N makes :meth:`SweepRunner.run` raise
-#: :class:`InjectedSweepFault` right after the N-th *executed* (non-
-#: cached) run has been completed, reported and checkpointed — the CI
-#: ``resume-smoke`` job uses it to kill a sweep mid-flight
-#: deterministically and then resume it against the same store. It kills
-#: the whole sweep; to break individual runs instead, use a
-#: :class:`~repro.experiments.faults.FaultPlan`.
-FAULT_ENV = "REPRO_SWEEP_FAULT_AFTER"
-
-
 def _slug(value: object) -> str:
     """Filesystem-safe rendering of one kwarg value."""
     if isinstance(value, (tuple, list)):
@@ -374,203 +363,392 @@ def _worker_channel_init(channel) -> None:
     _WORKER_CHANNEL = channel
 
 
-#: Inline-execution telemetry sink (the serial paths run in the parent;
-#: thread-local so a threaded driver's sweeps don't cross-talk).
-_INLINE = threading.local()
+def _attempt(task: Tuple[RunRequest, Optional[FaultAction], int, Optional[float]], emit=None):
+    """One run attempt in either lane; returns a payload, never raises.
 
+    Catching at this one fixed stack depth in both lanes is what makes
+    recorded failure tracebacks byte-identical at any ``--jobs`` count:
 
-@dataclass(frozen=True)
-class _TelemetryTask:
-    """The picklable telemetry slice of a task tuple (probe config)."""
+    * ``("ok", result, wall_s)`` on success;
+    * ``("exception", class_name, message, traceback_text, exc, wall_s)``
+      when the run raised, ``exc`` being the exception object itself.
 
-    sample_interval_s: float = 1.0
-
-
-class _InlinePublisher:
-    """Publisher shim for inline attempts: emit straight to the sink."""
-
-    __slots__ = ("emit",)
-
-    def __init__(self, emit):
-        self.emit = emit
-
-    def take_residual(self):
-        return ()
-
-
-def _publisher_for():
-    """The attempt's event publisher: pool channel, inline sink, or None."""
-    if _WORKER_CHANNEL is not None:
-        return WorkerPublisher(_WORKER_CHANNEL)
-    sink = getattr(_INLINE, "sink", None)
-    if sink is not None:
-        return _InlinePublisher(sink)
-    return None
-
-
-def _attempt(task: Tuple[RunRequest, Optional[FaultAction], int, Optional[_TelemetryTask]]):
-    """One supervised run attempt (also the pooled worker entry point).
-
-    Returns a plain payload tuple instead of raising, catching at one
-    fixed stack depth whether called inline or in a worker — which is
-    what makes recorded failure tracebacks byte-identical at any
-    ``--jobs`` count:
-
-    * ``("ok", result, wall_s, residual)`` on success;
-    * ``("error", class_name, message, traceback_text, pickle_blob,
-      wall_s, residual)`` when the run raised. ``pickle_blob`` is the
-      exception itself when it round-trips through pickle (so the
-      ``fail`` policy can re-raise the original), else None.
-
-    ``residual`` (always the last element) is the tail of the run's
-    telemetry stream that was still buffered at run end: carrying it in
-    the payload — which travels on the executor's result queue — means
-    it can never lose the race against the run being settled, which
-    events still in flight on the side channel can.
-
-    ``telem`` activates the run's telemetry probe: ``RunStarted`` is
-    published on the first attempt and a :class:`ProbeSession` is
-    installed for the spec's duration (terminal events are the
-    *parent's* to emit — only it knows when a run is finally settled).
+    With a telemetry sample interval in the task, ``emit`` receives the
+    run's events: ``RunStarted`` on the first attempt, then the samples
+    of a :class:`ProbeSession` installed for the spec's duration
+    (terminal events are the dispatch loop's to emit — only it knows
+    when a run is finally settled).
     """
-    request, action, attempt, telem = task
-    publisher = _publisher_for() if telem is not None else None
+    request, action, attempt, sample_interval_s = task
+    watched = sample_interval_s is not None
     previous = None
-    if publisher is not None:
+    if watched:
         if attempt == 1:
-            publisher.emit(
-                RunStarted(run_id=request.run_id, spec_id=request.spec_id)
-            )
-        previous = activate_probe(
-            ProbeSession(publisher.emit, request.run_id, telem.sample_interval_s)
-        )
+            emit(RunStarted(run_id=request.run_id, spec_id=request.spec_id))
+        previous = activate_probe(ProbeSession(emit, request.run_id, sample_interval_s))
     started = time.perf_counter()
     try:
-        try:
-            if action is not None:
-                action.trigger(request.run_id, attempt)
-            spec = get_spec(request.spec_id)
-            result = spec.run(**request.kwargs_dict)
-        except Exception as exc:
-            wall_s = time.perf_counter() - started
-            text = "".join(
-                traceback_module.format_exception(type(exc), exc, exc.__traceback__)
-            )
-            blob = None
-            try:
-                blob = pickle.dumps(exc)
-                pickle.loads(blob)
-            except Exception:
-                blob = None
-            payload = ("error", type(exc).__name__, str(exc), text, blob, wall_s)
-        else:
-            payload = ("ok", result, time.perf_counter() - started)
+        if action is not None:
+            action.trigger(request.run_id, attempt)
+        spec = get_spec(request.spec_id)
+        result = spec.run(**request.kwargs_dict)
+    except Exception as exc:
+        wall_s = time.perf_counter() - started
+        text = "".join(
+            traceback_module.format_exception(type(exc), exc, exc.__traceback__)
+        )
+        return ("exception", type(exc).__name__, str(exc), text, exc, wall_s)
     finally:
-        if publisher is not None:
+        if watched:
             activate_probe(previous)
+    return ("ok", result, time.perf_counter() - started)
+
+
+def _worker_attempt(task):
+    """The process lane's worker entry point: :func:`_attempt`, shipped.
+
+    Events go out through a never-blocking :class:`WorkerPublisher`.
+    The tail it still buffers at run end rides home as the payload's
+    last element, on the executor's result queue, so it can never lose
+    the race against the run being settled, which events still in
+    flight on the side channel can. A raised exception travels as its
+    pickle blob — checked here to round-trip — or None.
+    """
+    publisher = WorkerPublisher(_WORKER_CHANNEL) if task[3] is not None else None
+    payload = _attempt(task, publisher.emit if publisher is not None else None)
+    if payload[0] == "exception":
+        try:
+            blob = pickle.dumps(payload[4])
+            pickle.loads(blob)
+        except Exception:
+            blob = None
+        payload = payload[:4] + (blob,) + payload[5:]
     residual = publisher.take_residual() if publisher is not None else ()
     return payload + (residual,)
 
 
-def _reraise_worker_error(error: str, message: str, tb: Optional[str], blob):
-    """Re-raise a worker-captured exception as itself where possible."""
-    if blob is not None:
-        try:
-            exc = pickle.loads(blob)
-        except Exception:  # pragma: no cover - defensive
-            exc = None
-        if isinstance(exc, BaseException):
-            raise exc
-    raise WorkerRunError(f"{error}: {message}\n{tb or ''}".rstrip())
+def _fatal_error(failure: RunFailure, exc: Optional[BaseException]) -> BaseException:
+    """The error a ``fail``-mode failure aborts its batch with."""
+    if failure.kind == "timeout":
+        return RunTimeoutError(f"run {failure.run_id!r}: {failure.message}")
+    if failure.kind == "worker-crash":
+        return WorkerCrashError(f"run {failure.run_id!r}: {failure.message}")
+    if exc is not None:
+        # The original object (inline lane) or its unpickled twin: the
+        # run's error propagates as itself.
+        return exc
+    return WorkerRunError(
+        f"{failure.error}: {failure.message}\n{failure.traceback or ''}".rstrip()
+    )
 
 
-class _Fatal:
-    """A failure parked until the release cursor reaches it (fail mode).
+class _InlineLane:
+    """Attempts in the caller's thread, one at a time, in submission order.
 
-    Failures can complete out of request order under pooled execution;
-    the ``fail`` policy still raises at the failed run's *position* in
-    the batch — the same place the old order-preserving ``imap`` loop
-    raised — so earlier runs release normally first.
+    No executor, no channel, no pickling and no polling: ``collect``
+    runs the oldest submitted attempt to completion and emits its
+    telemetry straight into the gate. An exception :func:`_attempt` does
+    not catch (``KeyboardInterrupt``) still ends the run's event stream
+    with ``RunFailed`` before it propagates and aborts the batch.
     """
 
-    __slots__ = ("kind", "error", "message", "traceback", "blob", "run_id")
+    parallel = False
 
-    def __init__(self, kind, error, message, tb, blob, run_id):
-        self.kind = kind
-        self.error = error
-        self.message = message
-        self.traceback = tb
-        self.blob = blob
-        self.run_id = run_id
+    def __init__(self, gate: Optional[RunEventGate]):
+        self.gate = gate
+        self.queue = deque()
 
-    def reraise(self):
-        if self.kind == "timeout":
-            raise RunTimeoutError(f"run {self.run_id!r}: {self.message}")
-        if self.kind == "worker-crash":
-            raise WorkerCrashError(f"run {self.run_id!r}: {self.message}")
-        _reraise_worker_error(self.error, self.message, self.traceback, self.blob)
+    def submit(self, position: int, task, quarantine: bool = False) -> None:
+        self.queue.append((position, task))
+
+    def busy(self) -> bool:
+        return bool(self.queue)
+
+    def collect(self):
+        position, task = self.queue.popleft()
+        gate = self.gate
+        try:
+            payload = _attempt(task, gate.emit if gate is not None else None)
+        except BaseException as exc:
+            if gate is not None:
+                gate.emit(
+                    RunFailed(
+                        run_id=task[0].run_id,
+                        error=type(exc).__name__,
+                        message=str(exc),
+                    )
+                )
+            raise
+        return [(position, payload)]
+
+    def close(self, aborted: bool) -> None:
+        pass
 
 
-class _TaskState:
-    """Supervisor-side bookkeeping for one pending request."""
-
-    __slots__ = ("attempt", "action", "started", "timed_out")
-
-    def __init__(self, action: Optional[FaultAction]):
-        self.attempt = 1
-        self.action = action
-        self.started: Optional[float] = None  # monotonic, first seen running
-        self.timed_out = False  # we killed its lane on purpose
-
-
-class _Lane:
-    """One executor plus the futures currently living in it."""
+class _Pool:
+    """One executor plus the attempts currently living in it."""
 
     __slots__ = ("executor", "workers", "tasks")
 
     def __init__(self, executor: ProcessPoolExecutor, workers: int):
         self.executor = executor
         self.workers = workers
-        # future -> pending index; insertion order is submission order,
-        # which is the order the executor dispatches tasks to workers.
-        self.tasks: Dict[object, int] = {}
+        # future -> (position, task); insertion order is submission
+        # order, which is the order the executor dispatches tasks in.
+        self.tasks: Dict[object, Tuple[int, tuple]] = {}
 
 
-#: Supervisor poll granularity (seconds): an upper bound on how long a
+#: Process-lane poll granularity (seconds): an upper bound on how long a
 #: completion, crash or timeout goes unnoticed, not a scheduling unit —
 #: ``wait`` returns the moment a future resolves.
 _POLL_S = 0.05
 
 
-class SweepRunner:
-    """Fan a batch of requests out over processes, deterministically.
+class _ProcessLane:
+    """Supervised attempts in worker processes.
 
-    ``jobs=1`` runs inline (no pool, no pickling) unless supervision
-    needs a separate process (a ``run_timeout``, or a fault plan that
-    can crash the worker); ``jobs>1`` uses a supervised
-    ``ProcessPoolExecutor`` dispatch loop. Completions may arrive in any
-    order, but records are *released* — and ``on_record`` fired — in
+    Attempts run in the runner's persistent main pool, or — for suspects
+    and for retries of crashed or timed-out runs — in a one-worker
+    quarantine pool that lives for one batch. A worker death breaks the
+    whole executor (``BrokenProcessPool``), so the lane rebuilds it and
+    sorts the in-flight runs: when exactly one was running, that run is
+    charged with the crash; when several were (the ambiguous case), each
+    suspect re-runs alone in the quarantine pool, where sole occupancy
+    attributes the next crash exactly. Queued, never-started runs are
+    resubmitted without being charged. ``run_timeout`` is enforced the
+    same way: the overdue run's pool is killed deliberately and only the
+    overdue run is charged. Charged crashes and timeouts reach the
+    dispatch loop as payloads of their own kind.
+    """
+
+    parallel = True
+
+    def __init__(self, runner: "SweepRunner", gate, run_timeout: Optional[float]):
+        self.runner = runner
+        self.gate = gate
+        self.run_timeout = run_timeout
+        self.pools: Dict[str, _Pool] = {}
+        self.started: Dict[int, float] = {}  # position -> first seen on a worker
+        self.timed_out = set()  # positions whose pool we killed on purpose
+        self.outbox: List[Tuple[int, tuple]] = []
+
+    def busy(self) -> bool:
+        return bool(self.outbox) or any(pool.tasks for pool in self.pools.values())
+
+    def submit(self, position: int, task, quarantine: bool = False) -> None:
+        name = "quarantine" if quarantine else "main"
+        for _ in range(2):
+            pool = self.pools.get(name)
+            if pool is None:
+                if quarantine:
+                    pool = _Pool(self.runner._make_executor(1), 1)
+                else:
+                    pool = _Pool(self.runner._ensure_executor(), self.runner.jobs)
+                self.pools[name] = pool
+            self.started.pop(position, None)
+            self.timed_out.discard(position)
+            try:
+                future = pool.executor.submit(_worker_attempt, task)
+            except BrokenExecutor:
+                # A worker died while idle; rebuild the pool once.
+                self._handle_break(name)
+                continue
+            pool.tasks[future] = (position, task)
+            return
+        raise WorkerCrashError(  # pragma: no cover - two breaks in a row
+            "worker pool repeatedly broken on submit"
+        )
+
+    def collect(self):
+        """Wait up to one poll for completions; return settled payloads."""
+        futures = [f for pool in self.pools.values() for f in pool.tasks]
+        done = set()
+        if futures:
+            timeout = 0 if self.outbox else _POLL_S
+            done, _ = wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
+        self._drain()
+        now = time.monotonic()
+        for pool in self.pools.values():
+            # The executor dispatches FIFO, so the earliest unfinished
+            # submissions — at most one per worker — are the runs
+            # actually on a worker right now. (A future's own running()
+            # flag over-reports: it flips as soon as the task enters the
+            # call queue.)
+            in_flight = [f for f in pool.tasks if not f.done()]
+            for future in in_flight[: pool.workers]:
+                self.started.setdefault(pool.tasks[future][0], now)
+        broken: List[str] = []
+        for name, pool in list(self.pools.items()):
+            for future in [f for f in done if f in pool.tasks]:
+                try:
+                    payload = future.result()
+                except (BrokenExecutor, CancelledError, OSError):
+                    broken.append(name)
+                    break
+                self._settle(pool.tasks.pop(future)[0], payload)
+        for name in broken:
+            self._handle_break(name)
+        if self.run_timeout is not None:
+            now = time.monotonic()
+            for pool in list(self.pools.values()):
+                # A future that resolved since the wait above is no longer
+                # running: killing its pool now would void its result.
+                overdue = [
+                    position
+                    for future, (position, _) in pool.tasks.items()
+                    if not future.done()
+                    and position in self.started
+                    and position not in self.timed_out
+                    and now - self.started[position] > self.run_timeout
+                ]
+                if overdue:
+                    self.timed_out.update(overdue)
+                    # Killing the pool breaks it; the next collect routes
+                    # it through _handle_break, which charges only the
+                    # overdue run(s).
+                    self.runner._kill_workers(pool.executor)
+        outcomes, self.outbox = self.outbox, []
+        return outcomes
+
+    def close(self, aborted: bool) -> None:
+        """End the batch: drop the quarantine pool, and the main pool too
+        if the batch aborted — a finished batch leaves it to the runner."""
+        for name in ("quarantine", "main"):
+            pool = self.pools.pop(name, None)
+            if pool is None or (name == "main" and not aborted):
+                continue
+            if aborted:
+                if pool.executor is self.runner._executor:
+                    self.runner._executor = None
+                self.runner._kill_workers(pool.executor)
+            try:
+                pool.executor.shutdown(wait=not aborted, cancel_futures=True)
+            except Exception:  # pragma: no cover - already torn down
+                pass
+
+    def _drain(self, grace: bool = False) -> None:
+        """Pull what the workers have published so far through the gate.
+
+        Called every poll and — with ``grace`` — decisively before a run
+        is settled: a batch the worker flushed just before returning can
+        still sit in the channel's feeder thread when the result future
+        completes, so wait a beat and drain once more before the loop
+        seals the run's stream with its terminal event.
+        """
+        channel = self.runner._channel
+        if self.gate is not None and channel is not None:
+            drain_channel(channel, self.gate.emit)
+            if grace:
+                time.sleep(0.002)
+                drain_channel(channel, self.gate.emit)
+
+    def _settle(self, position: int, payload) -> None:
+        # Older events first (the side channel), then the tail the
+        # worker carried home inside the payload itself.
+        self._drain(grace=True)
+        if self.gate is not None:
+            for event in payload[-1]:
+                self.gate.emit(event)
+        payload = payload[:-1]
+        if payload[0] == "exception" and payload[4] is not None:
+            payload = payload[:4] + (pickle.loads(payload[4]),) + payload[5:]
+        self.outbox.append((position, payload))
+
+    def _charge(self, position: int, kind: str, error: str, message: str, wall_s: float):
+        self._drain(grace=True)
+        self.outbox.append((position, (kind, error, message, None, None, wall_s)))
+
+    def _handle_break(self, name: str) -> None:
+        pool = self.pools.pop(name, None)
+        if pool is None:  # pragma: no cover - already handled
+            return
+        if pool.executor is self.runner._executor:
+            self.runner._executor = None
+        # Give the executor's manager thread a moment to resolve every
+        # pending future, then harvest results that landed before the
+        # break — they are genuine completions.
+        wait(list(pool.tasks), timeout=5.0)
+        try:
+            pool.executor.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # pragma: no cover - already torn down
+            pass
+        crashed: List[Tuple[int, tuple]] = []  # submission order
+        for future, (position, task) in list(pool.tasks.items()):
+            try:
+                payload = future.result(timeout=0)
+            except BaseException:
+                crashed.append((position, task))
+            else:
+                self._settle(position, payload)
+        pool.tasks.clear()
+        quarantine = name == "quarantine"
+        if any(position in self.timed_out for position, _ in crashed):
+            # We killed this pool to enforce run_timeout: charge the
+            # overdue run(s); co-running and queued runs are innocent
+            # and simply resubmit.
+            for position, task in crashed:
+                if position in self.timed_out:
+                    self.timed_out.discard(position)
+                    self._charge(
+                        position,
+                        "timeout",
+                        "RunTimeoutError",
+                        f"run exceeded the per-run timeout ({self.run_timeout:g} s)",
+                        self.run_timeout,
+                    )
+                else:
+                    self.submit(position, task, quarantine)
+            return
+        suspects = [entry for entry in crashed if entry[0] in self.started]
+        if not suspects and crashed:
+            # A fast crash can break the pool before any poll ever
+            # observes the run in flight. The executor dispatches
+            # submissions FIFO, so the earliest-submitted unfinished
+            # task(s) — at most one per worker — were the ones a worker
+            # had picked up.
+            suspects = crashed[: pool.workers]
+        queued = [entry for entry in crashed if entry not in suspects]
+        if len(suspects) == 1:
+            position = suspects[0][0]
+            now = time.monotonic()
+            self._charge(
+                position,
+                "worker-crash",
+                "WorkerCrashError",
+                "worker process died (segfault, OOM kill, or os._exit)",
+                now - self.started.get(position, now),
+            )
+        else:
+            # Ambiguous: several runs were in flight when the pool
+            # broke. Re-run each alone in the quarantine pool, where
+            # sole occupancy attributes the next crash exactly —
+            # innocents complete there without ever being charged.
+            for position, task in suspects:
+                self.submit(position, task, quarantine=True)
+        for position, task in queued:
+            self.submit(position, task, quarantine)
+
+
+class SweepRunner:
+    """Run a batch of requests inline or over processes, deterministically.
+
+    :meth:`run` is one dispatch loop over one of two lanes. The process
+    lane is taken when ``jobs > 1`` and more than one run is pending, or
+    when supervision needs a separate process (a ``run_timeout``, or a
+    fault plan that can crash the worker); otherwise the inline lane
+    runs every attempt in the caller's thread. Completions may arrive in
+    any order, but records are *released* — and ``on_record`` fired — in
     request order, so progress reporting and exports stay deterministic.
 
-    The executor is created on first parallel use and *reused* across
-    ``run()`` calls, so a driver issuing several sweeps (the benchmark
-    suite, test batteries, future schedulers) pays process spin-up once
-    instead of per batch. Workers spawn lazily up to ``jobs``, so small
-    batches never fork processes that would sit idle. Close the runner
-    (context manager or :meth:`close`) to release the workers; a
-    garbage-collected runner terminates them as a fallback.
-
-    Supervision: a worker death breaks the whole executor
-    (``BrokenProcessPool``), so the supervisor rebuilds it and sorts the
-    in-flight runs — when exactly one was running, that run is charged
-    with the crash; when several were (the ambiguous case), each suspect
-    re-runs alone in a one-worker *quarantine lane*, where sole
-    occupancy attributes the next crash exactly. Queued, never-started
-    runs are resubmitted without being charged. ``run_timeout`` is
-    enforced the same way: the overdue run's lane is killed deliberately
-    and only the overdue run is charged; timed-out and crashing runs
-    retry in the quarantine lane so they cannot take the main pool down
-    repeatedly.
+    The process lane's main executor is created on first use and *kept*
+    across ``run()`` calls, so a caller issuing several sweeps (the
+    sweep service, ``Study.run(runner=...)``, the benchmark suite) pays
+    process spin-up once instead of per batch. Only a batch that aborts
+    — a ``fail``-mode failure, Ctrl-C, a raising ``on_record`` — kills
+    it, so no worker goes on computing runs nobody will collect. Close
+    the runner (context manager or :meth:`close`) to terminate and reap
+    the workers; a garbage-collected runner terminates them as a
+    fallback.
     """
 
     def __init__(self, jobs: int = 1, mp_context: Optional[str] = None):
@@ -581,7 +759,7 @@ class SweepRunner:
         self._executor: Optional[ProcessPoolExecutor] = None
         # Worker→parent telemetry channel; created with the first
         # executor (initargs are fixed at pool construction) and shared
-        # by every lane, so late-attached telemetry still has transport.
+        # by every pool, so late-attached telemetry still has transport.
         self._channel = None
 
     def __enter__(self) -> "SweepRunner":
@@ -601,16 +779,26 @@ class SweepRunner:
 
     @staticmethod
     def _kill_workers(executor) -> None:
-        """Terminate an executor's worker processes (never raises)."""
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
+        """Terminate an executor's worker processes and reap them.
+
+        Never raises. Joining matters to the caller's accounting: a
+        terminated but unreaped worker is a zombie whose resource usage
+        (``RUSAGE_CHILDREN``) the parent never sees.
+        """
+        processes = list((getattr(executor, "_processes", None) or {}).values())
+        for process in processes:
             try:
                 process.terminate()
             except Exception:  # pragma: no cover - already dead / shutdown
                 pass
+        for process in processes:
+            try:
+                process.join(timeout=5.0)
+            except Exception:  # pragma: no cover - already reaped / shutdown
+                pass
 
     def close(self) -> None:
-        """Terminate the persistent worker pool (idempotent).
+        """Terminate and reap the persistent worker pool (idempotent).
 
         Safe to call from ``__del__`` at interpreter shutdown: a runner
         collected that late may find the executor machinery's module
@@ -635,450 +823,29 @@ class SweepRunner:
             except Exception:  # pragma: no cover - shutdown races
                 pass
 
-    def _ensure_channel(self):
-        """The shared telemetry channel (created with the first executor).
-
-        Bounded so a stalled parent can never make workers accumulate
-        unbounded queue memory; the publisher side drops oldest
-        droppable events instead of blocking when it fills.
-        """
-        if self._channel is None:
-            context = multiprocessing.get_context(self.mp_context)
-            self._channel = context.Queue(256)
-        return self._channel
-
     def _make_executor(self, workers: int) -> ProcessPoolExecutor:
         context = multiprocessing.get_context(self.mp_context)
+        if self._channel is None:
+            # Bounded so a stalled parent can never make workers
+            # accumulate unbounded queue memory; the publisher side drops
+            # oldest droppable events instead of blocking when it fills.
+            self._channel = context.Queue(256)
         # The channel rides along unconditionally: initargs are fixed at
         # pool construction, and the persistent executor must serve
         # later run() calls that do attach telemetry. Workers only touch
-        # it when a task carries a telemetry slice.
+        # it when a task carries a telemetry sample interval.
         return ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
             initializer=_worker_channel_init,
-            initargs=(self._ensure_channel(),),
+            initargs=(self._channel,),
         )
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
-        """The persistent main-lane executor (workers spawn on demand)."""
+        """The persistent main-pool executor."""
         if self._executor is None:
             self._executor = self._make_executor(self.jobs)
         return self._executor
-
-    def _discard_executor(self) -> None:
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            try:
-                executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - already broken
-                pass
-
-    # -- execution paths ----------------------------------------------
-
-    def _direct_outcomes(self, pending, actions, checkpoint, telem=None, gate=None):
-        """The legacy inline path: no supervision, errors propagate raw.
-
-        Taken for ``fail``-with-no-retries at ``jobs=1`` so a raising
-        experiment keeps its genuine traceback (the "errors propagate as
-        themselves" CLI contract), exactly as before this layer existed.
-        """
-        for request, action in zip(pending, actions):
-            started = time.perf_counter()
-            previous = None
-            if gate is not None:
-                gate.emit(RunStarted(run_id=request.run_id, spec_id=request.spec_id))
-                previous = activate_probe(
-                    ProbeSession(gate.emit, request.run_id, telem.sample_interval_s)
-                )
-            try:
-                if action is not None:
-                    action.trigger(request.run_id, 1)
-                spec = get_spec(request.spec_id)
-                result = spec.run(**request.kwargs_dict)
-            except BaseException as exc:
-                if gate is not None:
-                    gate.emit(
-                        RunFailed(
-                            run_id=request.run_id,
-                            error=type(exc).__name__,
-                            message=str(exc),
-                        )
-                    )
-                raise
-            finally:
-                if gate is not None:
-                    activate_probe(previous)
-            record = RunRecord(request, result, time.perf_counter() - started)
-            checkpoint(request, record)
-            if gate is not None:
-                gate.emit(RunFinished(run_id=request.run_id))
-            yield record
-
-    def _serial_outcomes(self, pending, actions, policy, checkpoint, telem=None, gate=None):
-        """Inline execution with failure isolation and retries."""
-        if gate is not None:
-            _INLINE.sink = gate.emit
-        try:
-            for index, request in enumerate(pending):
-                attempt = 1
-                while True:
-                    payload = _attempt((request, actions[index], attempt, telem))
-                    if payload[0] == "ok":
-                        outcome = RunRecord(request, payload[1], payload[2])
-                        break
-                    _, error, message, tb, blob, wall_s = payload[:6]
-                    if attempt <= policy.retries:
-                        delay = policy.backoff_s(attempt)
-                        if delay > 0:
-                            time.sleep(delay)
-                        attempt += 1
-                        continue
-                    if policy.mode == "fail":
-                        if gate is not None:
-                            gate.emit(
-                                RunFailed(
-                                    run_id=request.run_id,
-                                    error=error,
-                                    message=message,
-                                )
-                            )
-                        _reraise_worker_error(error, message, tb, blob)
-                    outcome = RunFailure(
-                        run_id=request.run_id,
-                        spec_id=request.spec_id,
-                        kwargs=request.kwargs_dict,
-                        kind="exception",
-                        error=error,
-                        message=message,
-                        traceback=tb,
-                        attempts=attempt,
-                        wall_s=wall_s,
-                    )
-                    break
-                checkpoint(request, outcome)
-                if gate is not None:
-                    if isinstance(outcome, RunFailure):
-                        gate.emit(
-                            RunFailed(
-                                run_id=request.run_id,
-                                error=outcome.error,
-                                message=outcome.message,
-                            )
-                        )
-                    else:
-                        gate.emit(RunFinished(run_id=request.run_id))
-                yield outcome
-        finally:
-            if gate is not None:
-                _INLINE.sink = None
-
-    def _supervised_outcomes(
-        self, pending, actions, policy, run_timeout, checkpoint, telem=None, gate=None
-    ):
-        """Pooled execution under supervision; yields outcomes in order.
-
-        Outcomes (``RunRecord`` or ``RunFailure``) are buffered as
-        completions arrive and yielded strictly in ``pending`` order;
-        checkpointing happens at completion time so a kill loses at most
-        the in-flight runs. The ``finally`` block tears down in-flight
-        work when the generator exits early (an error released to the
-        caller, ``KeyboardInterrupt``, or the caller closing us), so no
-        worker is left computing a discarded run.
-        """
-        n = len(pending)
-        states = [_TaskState(action) for action in actions]
-        ready: Dict[int, object] = {}  # index -> RunRecord | RunFailure | _Fatal
-        backlog: List[Tuple[float, int, str]] = []  # (due, index, lane name)
-        lanes: Dict[str, _Lane] = {}
-        completed = False
-
-        def drain_telemetry(grace: bool = False):
-            # Pull whatever the workers have published so far through
-            # the gate. Called opportunistically every poll and — with
-            # ``grace`` — decisively before a terminal event seals a
-            # run's stream: a batch the worker flushed just before
-            # returning can still sit in the channel's feeder thread
-            # when the result future completes, so wait a beat and
-            # drain once more before closing the door on it.
-            if gate is not None and self._channel is not None:
-                drain_channel(self._channel, gate.emit)
-                if grace:
-                    time.sleep(0.002)
-                    drain_channel(self._channel, gate.emit)
-
-        def settle(index, payload):
-            request = pending[index]
-            if gate is not None:
-                # Older events first (the side channel), then the tail
-                # the worker carried home inside the payload itself.
-                drain_telemetry(grace=True)
-                for event in payload[-1]:
-                    gate.emit(event)
-            if payload[0] == "ok":
-                record = RunRecord(request, payload[1], payload[2])
-                checkpoint(request, record)
-                if gate is not None:
-                    gate.emit(RunFinished(run_id=request.run_id))
-                ready[index] = record
-            else:
-                _, error, message, tb, blob, wall_s = payload[:6]
-                charge(index, "exception", error, message, tb, blob, wall_s)
-
-        def charge(index, kind, error, message, tb, blob, wall_s):
-            state = states[index]
-            if state.attempt <= policy.retries:
-                delay = policy.backoff_s(state.attempt)
-                state.attempt += 1
-                # Exception retries go back to the main lane; timeout and
-                # crash retries run quarantined so a persistently poison
-                # run cannot keep taking the shared pool down.
-                lane_name = "main" if kind == "exception" else "quarantine"
-                backlog.append((time.monotonic() + delay, index, lane_name))
-                return
-            request = pending[index]
-            if gate is not None:
-                drain_telemetry(grace=True)
-                gate.emit(
-                    RunFailed(
-                        run_id=request.run_id,
-                        failure_kind=kind,
-                        error=error,
-                        message=message,
-                    )
-                )
-            if policy.mode == "fail":
-                ready[index] = _Fatal(kind, error, message, tb, blob, request.run_id)
-                return
-            failure = RunFailure(
-                run_id=request.run_id,
-                spec_id=request.spec_id,
-                kwargs=request.kwargs_dict,
-                kind=kind,
-                error=error,
-                message=message,
-                traceback=tb,
-                attempts=state.attempt,
-                wall_s=wall_s or 0.0,
-            )
-            checkpoint(request, failure)
-            ready[index] = failure
-
-        def handle_break(lane_name):
-            lane = lanes.pop(lane_name, None)
-            if lane is None:  # pragma: no cover - already handled
-                return
-            if lane.executor is self._executor:
-                self._executor = None
-            # Give the executor's manager thread a moment to resolve
-            # every pending future, then harvest results that landed
-            # before the break — they are genuine completions.
-            wait(list(lane.tasks), timeout=5.0)
-            try:
-                lane.executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:  # pragma: no cover - already torn down
-                pass
-            crashed: List[int] = []  # submission order
-            for future, index in list(lane.tasks.items()):
-                try:
-                    payload = future.result(timeout=0)
-                except BaseException:
-                    crashed.append(index)
-                else:
-                    settle(index, payload)
-            lane.tasks.clear()
-            now = time.monotonic()
-            deliberate = any(states[i].timed_out for i in crashed)
-            if deliberate:
-                # We killed this lane to enforce run_timeout: charge the
-                # overdue run(s); co-running and queued runs are innocent
-                # and simply resubmit.
-                for index in crashed:
-                    state = states[index]
-                    if state.timed_out:
-                        state.timed_out = False
-                        charge(
-                            index,
-                            "timeout",
-                            "RunTimeoutError",
-                            f"run exceeded the per-run timeout "
-                            f"({run_timeout:g} s)",
-                            None,
-                            None,
-                            run_timeout or 0.0,
-                        )
-                    else:
-                        backlog.append((0.0, index, lane_name))
-                return
-            suspects = [i for i in crashed if states[i].started is not None]
-            if not suspects and crashed:
-                # A fast crash can break the pool before any poll ever
-                # observes the run in flight. The executor dispatches
-                # submissions FIFO, so the earliest-submitted unfinished
-                # task(s) — at most one per worker — were the ones a
-                # worker had picked up.
-                suspects = crashed[: lane.workers]
-            queued = [i for i in crashed if i not in suspects]
-            if len(suspects) == 1:
-                index = suspects[0]
-                wall_s = now - (states[index].started or now)
-                charge(
-                    index,
-                    "worker-crash",
-                    "WorkerCrashError",
-                    "worker process died (segfault, OOM kill, or os._exit)",
-                    None,
-                    None,
-                    wall_s,
-                )
-            else:
-                # Ambiguous: several runs were in flight when the pool
-                # broke. Re-run each alone in the quarantine lane, where
-                # sole occupancy attributes the next crash exactly —
-                # innocents complete there without ever being charged.
-                for index in suspects:
-                    backlog.append((0.0, index, "quarantine"))
-            for index in queued:
-                backlog.append((0.0, index, lane_name))
-
-        def submit(lane_name, index):
-            for _ in range(2):
-                lane = lanes.get(lane_name)
-                if lane is None:
-                    if lane_name == "main":
-                        lane = _Lane(self._ensure_executor(), self.jobs)
-                    else:
-                        lane = _Lane(self._make_executor(1), 1)
-                    lanes[lane_name] = lane
-                state = states[index]
-                state.started = None
-                state.timed_out = False
-                try:
-                    future = lane.executor.submit(
-                        _attempt, (pending[index], state.action, state.attempt, telem)
-                    )
-                except BrokenExecutor:
-                    # A worker died while idle; rebuild the lane once.
-                    handle_break(lane_name)
-                    continue
-                lane.tasks[future] = index
-                return
-            raise WorkerCrashError(  # pragma: no cover - two breaks in a row
-                "worker pool repeatedly broken on submit"
-            )
-
-        next_index = 0
-        try:
-            for index in range(n):
-                submit("main", index)
-            while next_index < n:
-                while next_index in ready:
-                    outcome = ready.pop(next_index)
-                    if isinstance(outcome, _Fatal):
-                        outcome.reraise()
-                    next_index += 1
-                    yield outcome
-                if next_index >= n:
-                    break
-                now = time.monotonic()
-                due = [entry for entry in backlog if entry[0] <= now]
-                if due:
-                    backlog[:] = [e for e in backlog if e[0] > now]
-                    for _, index, lane_name in sorted(due, key=lambda e: e[1]):
-                        submit(lane_name, index)
-                futures = [f for lane in lanes.values() for f in lane.tasks]
-                if not futures:
-                    if backlog:
-                        next_due = min(entry[0] for entry in backlog)
-                        time.sleep(min(_POLL_S, max(0.0, next_due - now)))
-                        continue
-                    if ready:
-                        continue
-                    raise RuntimeError(  # pragma: no cover - invariant
-                        "sweep supervisor stalled with no work in flight"
-                    )
-                done, _ = wait(futures, timeout=_POLL_S, return_when=FIRST_COMPLETED)
-                drain_telemetry()
-                now = time.monotonic()
-                for lane in lanes.values():
-                    # The executor dispatches FIFO, so the earliest
-                    # unfinished submissions — at most one per worker —
-                    # are the runs actually on a worker right now. (A
-                    # future's own running() flag over-reports: it flips
-                    # as soon as the task enters the call queue.)
-                    in_flight = [f for f in lane.tasks if not f.done()]
-                    for future in in_flight[: lane.workers]:
-                        state = states[lane.tasks[future]]
-                        if state.started is None:
-                            state.started = now
-                broken: List[str] = []
-                for lane_name in list(lanes):
-                    lane = lanes.get(lane_name)
-                    if lane is None:
-                        continue
-                    for future in [f for f in done if f in lane.tasks]:
-                        try:
-                            payload = future.result()
-                        except (BrokenExecutor, CancelledError, OSError):
-                            broken.append(lane_name)
-                            break
-                        index = lane.tasks.pop(future)
-                        settle(index, payload)
-                for lane_name in broken:
-                    handle_break(lane_name)
-                if run_timeout is not None:
-                    now = time.monotonic()
-                    for lane_name, lane in list(lanes.items()):
-                        overdue = [
-                            index
-                            for index in lane.tasks.values()
-                            if states[index].started is not None
-                            and not states[index].timed_out
-                            and now - states[index].started > run_timeout
-                        ]
-                        if overdue:
-                            for index in overdue:
-                                states[index].timed_out = True
-                            # Killing the lane breaks it; the next loop
-                            # iteration routes it through handle_break,
-                            # which charges only the overdue run(s).
-                            self._kill_workers(lane.executor)
-            completed = True
-        finally:
-            quarantine = lanes.pop("quarantine", None)
-            if quarantine is not None:
-                if not completed:
-                    self._kill_workers(quarantine.executor)
-                try:
-                    quarantine.executor.shutdown(
-                        wait=completed, cancel_futures=True
-                    )
-                except Exception:  # pragma: no cover - already torn down
-                    pass
-            if not completed:
-                main = lanes.pop("main", None)
-                if main is not None:
-                    if main.executor is self._executor:
-                        self._executor = None
-                    self._kill_workers(main.executor)
-                    try:
-                        main.executor.shutdown(wait=False, cancel_futures=True)
-                    except Exception:  # pragma: no cover - already torn down
-                        pass
-
-    @staticmethod
-    def _checkpoint(store) -> Callable[[RunRequest, object], None]:
-        if store is None:
-            return lambda request, outcome: None
-
-        def checkpoint(request, outcome):
-            if isinstance(outcome, RunFailure):
-                store.put_failure(request, outcome)
-            else:
-                store.put(outcome)
-
-        return checkpoint
 
     def run(
         self,
@@ -1107,7 +874,7 @@ class SweepRunner:
         records with ``record.failure`` set and are checkpointed into
         the store as failure records, so a resume retries exactly the
         failed/missing runs. ``run_timeout`` kills any single run
-        exceeding that many wall seconds (forces pooled execution even
+        exceeding that many wall seconds (forces the process lane even
         at ``jobs=1``). ``faults`` injects a deterministic
         :class:`~repro.experiments.faults.FaultPlan` (default: the
         :data:`~repro.experiments.faults.FAULT_PLAN_ENV` env var).
@@ -1128,96 +895,144 @@ class SweepRunner:
             raise ValueError("run_timeout must be positive")
         if faults is None:
             faults = FaultPlan.from_env()
-        run_ids = [r.run_id for r in requests]
-        if len(set(run_ids)) != len(run_ids):
-            seen, dupes = set(), []
-            for run_id in run_ids:
-                if run_id in seen and run_id not in dupes:
-                    dupes.append(run_id)
-                seen.add(run_id)
-            raise ValueError(
-                "duplicate run ids in batch: " + ", ".join(sorted(dupes))
-            )
-        fault_after = int(os.environ.get(FAULT_ENV, "0") or 0)
+        counts = Counter(r.run_id for r in requests)
+        dupes = sorted(run_id for run_id, count in counts.items() if count > 1)
+        if dupes:
+            raise ValueError("duplicate run ids in batch: " + ", ".join(dupes))
         gate = None
-        telem = None
+        sample_interval_s = None
         if telemetry is not None and telemetry.attached:
             gate = RunEventGate(telemetry.emit)
-            telem = _TelemetryTask(sample_interval_s=telemetry.sample_interval_s)
+            sample_interval_s = telemetry.sample_interval_s
         if self._channel is not None:
             # Discard stragglers a previous (aborted) batch left queued;
             # their runs' gates are gone and their ids would pollute
             # this batch's streams.
             drain_channel(self._channel, lambda event: None)
-        cached: Dict[str, RunRecord] = {}
-        pending: List[RunRequest] = []
-        actions: List[Optional[FaultAction]] = []
-        for index, request in enumerate(requests):
+        cached: Dict[int, RunRecord] = {}
+        actions: Dict[int, Optional[FaultAction]] = {}  # pending position -> fault
+        for position, request in enumerate(requests):
             hit = store.get(request) if store is not None else None
             if hit is not None:
-                cached[request.run_id] = hit
+                cached[position] = hit
             else:
-                pending.append(request)
-                actions.append(
-                    faults.action_for(request.run_id, index) if faults else None
+                actions[position] = (
+                    faults.action_for(request.run_id, position) if faults else None
                 )
-        checkpoint = self._checkpoint(store)
         needs_worker = run_timeout is not None or any(
-            action is not None and action.kind == "crash" for action in actions
+            action is not None and action.kind == "crash" for action in actions.values()
         )
-        if not pending:
-            outcomes = iter(())
-        elif (self.jobs == 1 or len(pending) <= 1) and not needs_worker:
-            if policy.mode == "fail" and policy.retries == 0:
-                outcomes = self._direct_outcomes(
-                    pending, actions, checkpoint, telem=telem, gate=gate
-                )
-            else:
-                outcomes = self._serial_outcomes(
-                    pending, actions, policy, checkpoint, telem=telem, gate=gate
-                )
+        if (self.jobs == 1 or len(actions) <= 1) and not needs_worker:
+            lane = _InlineLane(gate)
         else:
-            outcomes = self._supervised_outcomes(
-                pending, actions, policy, run_timeout, checkpoint,
-                telem=telem, gate=gate,
-            )
+            lane = _ProcessLane(self, gate, run_timeout)
+
+        attempts = dict.fromkeys(actions, 1)
+        fresh = deque(actions)  # pending positions not yet submitted
+        backlog: List[Tuple[float, int, bool]] = []  # (due, position, quarantine)
+        # position -> RunRecord, or the error a fail-mode failure raises
+        # once release reaches the failed run's position — failures can
+        # complete out of request order, earlier runs release first.
+        ready: Dict[int, object] = {}
         records: List[RunRecord] = []
-        executed = 0
+
+        def submit(position: int, quarantine: bool = False) -> None:
+            task = (requests[position], actions[position], attempts[position], sample_interval_s)
+            lane.submit(position, task, quarantine)
+
+        def settle(position: int, payload) -> None:
+            request = requests[position]
+            if payload[0] == "ok":
+                record = RunRecord(request, payload[1], payload[2])
+                if store is not None:
+                    store.put(record)
+                if gate is not None:
+                    gate.emit(RunFinished(run_id=request.run_id))
+                ready[position] = record
+                return
+            kind, error, message, tb, exc, wall_s = payload
+            attempt = attempts[position]
+            if attempt <= policy.retries:
+                attempts[position] = attempt + 1
+                # Exception retries go back to the main pool; timeout and
+                # crash retries run quarantined so a persistently poison
+                # run cannot keep taking the shared pool down.
+                due = time.monotonic() + policy.backoff_s(attempt)
+                backlog.append((due, position, kind != "exception"))
+                return
+            if gate is not None:
+                gate.emit(
+                    RunFailed(
+                        run_id=request.run_id,
+                        failure_kind=kind,
+                        error=error,
+                        message=message,
+                    )
+                )
+            failure = RunFailure(
+                run_id=request.run_id,
+                spec_id=request.spec_id,
+                kwargs=request.kwargs_dict,
+                kind=kind,
+                error=error,
+                message=message,
+                traceback=tb,
+                attempts=attempt,
+                wall_s=wall_s or 0.0,
+            )
+            if policy.mode == "fail":
+                ready[position] = _fatal_error(failure, exc)
+                return
+            if store is not None:
+                store.put_failure(request, failure)
+            ready[position] = RunRecord(request, None, failure.wall_s, failure=failure)
+
         try:
-            for request in requests:
-                record = cached.get(request.run_id)
-                if record is None:
-                    outcome = next(outcomes)
-                    if isinstance(outcome, RunFailure):
-                        record = RunRecord(
-                            request, None, outcome.wall_s, failure=outcome
-                        )
+            while True:
+                # Release every record the cursor can reach, in request
+                # order; a cache hit never executes, so its stream is the
+                # immediate two-event form, emitted here.
+                while len(records) < len(requests):
+                    position = len(records)
+                    if position in cached:
+                        record = cached[position]
+                        if gate is not None:
+                            request = requests[position]
+                            gate.emit(
+                                RunStarted(run_id=request.run_id, spec_id=request.spec_id)
+                            )
+                            gate.emit(RunFinished(run_id=request.run_id, cached=True))
+                    elif position in ready:
+                        record = ready.pop(position)
+                        if isinstance(record, BaseException):
+                            raise record
                     else:
-                        record = outcome
-                    executed += 1
-                elif gate is not None:
-                    # A cache hit never executes: its stream is the
-                    # immediate two-event form, emitted at release time.
-                    gate.emit(
-                        RunStarted(run_id=request.run_id, spec_id=request.spec_id)
-                    )
-                    gate.emit(RunFinished(run_id=request.run_id, cached=True))
-                if on_record is not None:
-                    on_record(record)
-                records.append(record)
-                if not record.cached and fault_after and executed >= fault_after:
-                    raise InjectedSweepFault(
-                        f"injected fault after {executed} executed run(s) "
-                        f"({FAULT_ENV}={fault_after})"
-                    )
+                        break
+                    if on_record is not None:
+                        on_record(record)
+                    records.append(record)
+                if len(records) == len(requests):
+                    break
+                now = time.monotonic()
+                due = sorted((e for e in backlog if e[0] <= now), key=lambda e: e[1])
+                backlog[:] = [e for e in backlog if e[0] > now]
+                for _, position, quarantine in due:
+                    submit(position, quarantine)
+                # The process lane takes the whole batch up front; the
+                # inline lane one run at a time, retries before the next.
+                while fresh and (lane.parallel or not (lane.busy() or backlog)):
+                    submit(fresh.popleft())
+                if not lane.busy():
+                    if not backlog:  # pragma: no cover - invariant
+                        raise RuntimeError("sweep dispatch stalled with no work in flight")
+                    time.sleep(max(0.0, min(e[0] for e in backlog) - now))
+                    continue
+                for position, payload in lane.collect():
+                    settle(position, payload)
         except BaseException:
-            # Error path (including KeyboardInterrupt and the legacy
-            # injected kill hook): terminate the in-flight batch so no
-            # worker is left computing runs nobody will collect.
-            close = getattr(outcomes, "close", None)
-            if close is not None:
-                close()
+            lane.close(aborted=True)
             raise
+        lane.close(aborted=False)
         if store is not None:
             store.finalize(records)
         return records

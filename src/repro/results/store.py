@@ -29,8 +29,8 @@ Two backends implement the interface:
 Determinism contract: runs are pure functions of their requests, so a
 resumed sweep's store contents (see :meth:`ResultStore.canonical_dump`)
 and any re-export through the directory path are identical to an
-uninterrupted run's at any ``--jobs`` count — the CI ``resume-smoke``
-job locks this in.
+uninterrupted run's at any ``--jobs`` count —
+``tests/test_smoke.py`` locks this in.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import hashlib
 import json
 import os
 import sqlite3
-import warnings
 import zlib
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -57,11 +56,6 @@ SQLITE_SCHEMA = 1
 
 #: Sidecar file a DirectoryStore keeps while a sweep is in flight.
 CHECKPOINT_SIDECAR = ".sweep-checkpoint.json"
-
-#: File suffixes that make ``open_store`` pick the sqlite backend when
-#: given a bare path (the legacy spelling; explicit ``sqlite:``/``dir:``
-#: URL schemes are the public dispatch).
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 #: URL schemes ``open_store`` understands: scheme -> backend class name.
 STORE_SCHEMES = ("sqlite", "dir")
@@ -687,36 +681,25 @@ class SqliteStore(ResultStore):
 def open_store(url: str) -> ResultStore:
     """Open (creating if needed) the store named by ``url``.
 
-    The public spelling is an explicit URL scheme, which makes the
-    backend choice part of the name instead of a filename convention:
+    The url scheme makes the backend choice part of the name instead of
+    a filename convention:
 
     * ``sqlite:PATH`` — a columnar :class:`SqliteStore` file;
     * ``dir:PATH`` — a :class:`DirectoryStore` export tree.
 
-    A bare path (no scheme) keeps the legacy suffix dispatch as a shim
-    — now with a :class:`DeprecationWarning`: a sqlite suffix
-    (``.sqlite``/``.sqlite3``/``.db``) — or an existing regular file —
-    opens a :class:`SqliteStore`; anything else is a
-    :class:`DirectoryStore`. The CLI's ``--store``, ``Study.run`` and
-    the sweep service all resolve store names through this one factory.
+    Anything else — a bare path included — raises
+    :class:`~repro.experiments.specs.ParameterValueError` naming both
+    spellings, which the CLI reports as invalid input (exit 2). The
+    CLI's ``--store``, ``Study.run`` and the sweep service all resolve
+    store names through this one factory.
     """
     scheme, sep, rest = url.partition(":")
-    if sep and scheme in STORE_SCHEMES:
-        if not rest:
-            # ParameterValueError so the CLI reports it as a clean
-            # input error (exit 2), like any other bad option value.
-            raise ParameterValueError(
-                f"store url {url!r}: empty path after {scheme!r} scheme"
-            )
-        return SqliteStore(rest) if scheme == "sqlite" else DirectoryStore(rest)
-    warnings.warn(
-        f"bare store path {url!r}: suffix-based backend dispatch is "
-        f"deprecated; spell the url with an explicit scheme "
-        f"('sqlite:{url}' or 'dir:{url}')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    lowered = url.lower()
-    if lowered.endswith(SQLITE_SUFFIXES) or os.path.isfile(url):
-        return SqliteStore(url)
-    return DirectoryStore(url)
+    if not (sep and scheme in STORE_SCHEMES):
+        raise ParameterValueError(
+            f"store url {url!r}: expected 'sqlite:PATH' or 'dir:PATH'"
+        )
+    if not rest:
+        raise ParameterValueError(
+            f"store url {url!r}: empty path after {scheme!r} scheme"
+        )
+    return SqliteStore(rest) if scheme == "sqlite" else DirectoryStore(rest)

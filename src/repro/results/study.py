@@ -235,7 +235,7 @@ def _resolve_store(store):
     """Resolve a store argument: pass instances through, open url strings.
 
     Returns ``(store, opened)`` — ``opened`` is True when this call
-    created the instance (from a ``sqlite:``/``dir:``/bare-path url via
+    created the instance (from a ``sqlite:``/``dir:`` url via
     :func:`~repro.results.store.open_store`) and the caller therefore
     owns closing it.
     """

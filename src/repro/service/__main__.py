@@ -32,8 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="URL",
         help="shared result store all jobs checkpoint into: "
-        "sqlite:runs.sqlite | dir:results/ (bare paths dispatch on "
-        "suffix, like the sweep CLI's --store)",
+        "sqlite:runs.sqlite | dir:results/ (the sweep CLI's --store urls)",
     )
     parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"

@@ -34,7 +34,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.experiments.faults import FaultPlan
 from repro.experiments.runner import (
     ErrorPolicy,
-    InjectedSweepFault,
     RunTimeoutError,
     SweepRunner,
     WorkerCrashError,
@@ -129,8 +128,8 @@ class Job:
     consistent snapshots through :meth:`to_json_dict`. ``exit_code``
     mirrors the CLI's exit ladder so a job status reads like a ``sweep``
     invocation: 0 done, 1 aborted by a timeout/crash/exception under
-    ``fail``, 3 the legacy injected kill, 4 completed under ``continue``
-    with failures, 130 cancelled before it ran.
+    ``fail``, 4 completed under ``continue`` with failures, 130
+    cancelled before it ran.
     """
 
     def __init__(
@@ -501,10 +500,6 @@ class SweepService:
                 faults=job.faults,
                 telemetry=hub,
             )
-        except InjectedSweepFault as error:
-            with self._lock:
-                job.fail(str(error), exit_code=3)
-                self._events.notify_all()
         except (RunTimeoutError, WorkerCrashError) as error:
             with self._lock:
                 job.fail(str(error), exit_code=1)

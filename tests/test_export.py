@@ -2,8 +2,6 @@
 
 import csv
 import os
-import subprocess
-import sys
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.export import export_result, table_to_markdown
@@ -42,13 +40,3 @@ class TestExport:
         assert "> a note" in text
         assert "seed=1" in text
 
-    def test_removed_cli_points_at_replacement(self):
-        # The standalone export CLI was removed after its deprecation
-        # cycle: running the module exits 2 and names the successor.
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments.export"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-        assert "python -m repro.experiments run" in proc.stdout + proc.stderr

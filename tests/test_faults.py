@@ -4,8 +4,8 @@ The chaos battery: every failure mode the supervised runner handles —
 a run raising, hanging past ``--run-timeout``, or hard-crashing its
 worker process — is injected deterministically via
 :class:`repro.experiments.faults.FaultPlan` and exercised under all
-three error policies (``fail``/``continue``/``retry:N``), serially and
-pooled. The CI ``chaos-smoke`` job runs exactly this module.
+three error policies (``fail``/``continue``/``retry:N``), in the inline
+and the process lane.
 
 Determinism stakes: surviving-run exports and ``failures.json`` must be
 byte-identical at any ``--jobs`` count, and a resume after failures must
@@ -15,6 +15,7 @@ uninterrupted sweep produces.
 
 import json
 import os
+import traceback
 import warnings
 
 import pytest
@@ -153,10 +154,6 @@ class TestFaultPlanParsing:
         plan = FaultPlan.from_env()
         assert plan.action_for("x", 0).kind == "raise"
 
-    def test_needs_worker_only_for_crash(self):
-        assert not FaultPlan.parse("0=raise+1=hang:5").needs_worker
-        assert FaultPlan.parse("0=raise+1=crash").needs_worker
-
     def test_times_cap_releases_later_attempts(self):
         action = FaultAction.parse("raise/2")
         with pytest.raises(InjectedFault):
@@ -222,9 +219,25 @@ class TestRaisingRuns:
         # shim catches at the same stack depth inline and in workers
         assert f_serial.to_dict() == f_pooled.to_dict()
 
+    def test_inline_fail_keeps_native_traceback_under_retries(self):
+        # The inline lane re-raises the original exception object, not
+        # a copy, so the frame that raised it survives — also after the
+        # run went through the retry loop.
+        plan = FaultPlan.parse("1=raise")
+        policy = ErrorPolicy("fail", retries=1, backoff_base_s=0.0,
+                             backoff_cap_s=0.0)
+        with SweepRunner(jobs=1) as runner:
+            with pytest.raises(InjectedFault) as excinfo:
+                runner.run(fast_requests(), policy=policy, faults=plan)
+        frames = traceback.extract_tb(excinfo.value.__traceback__)
+        assert any(
+            frame.name == "trigger" and os.path.basename(frame.filename) == "faults.py"
+            for frame in frames
+        )
+
     def test_fail_policy_serial_raises_original_exception(self):
-        # The no-supervision direct path: a genuine experiment error
-        # propagates as itself with its genuine traceback.
+        # The inline lane: a genuine experiment error propagates as
+        # itself with its genuine traceback.
         bad = request_for("stability", dict(FAST, seed=1))
         plan = FaultPlan.parse("*=raise")
         with SweepRunner() as runner:
@@ -405,7 +418,7 @@ class TestFailureStores:
 
 class TestResumeAfterFailures:
     def test_resume_executes_only_failed_runs(self, tmp_path):
-        store_path = str(tmp_path / "store.sqlite")
+        store_path = "sqlite:" + str(tmp_path / "store.sqlite")
         plan = FaultPlan.parse("1=raise")
         with open_store(store_path) as store, SweepRunner() as runner:
             runner.run(fast_requests(), policy="continue", faults=plan, store=store)
@@ -423,7 +436,8 @@ class TestResumeAfterFailures:
             ]
             assert store.failures() == []
         # the resumed store equals an uninterrupted sweep's
-        with open_store(str(tmp_path / "ref.sqlite")) as ref, SweepRunner() as runner:
+        ref_url = "sqlite:" + str(tmp_path / "ref.sqlite")
+        with open_store(ref_url) as ref, SweepRunner() as runner:
             runner.run(fast_requests(), store=ref)
             with open_store(store_path) as resumed:
                 assert resumed.digest() == ref.digest()
@@ -437,7 +451,7 @@ class TestResumeAfterFailures:
         trees = {}
         for jobs in (1, 4):
             out = tmp_path / f"jobs{jobs}"
-            with open_store(str(out)) as store, SweepRunner(jobs=jobs) as runner:
+            with open_store(f"dir:{out}") as store, SweepRunner(jobs=jobs) as runner:
                 runner.run(
                     fast_requests(), policy="continue", faults=plan, store=store
                 )
@@ -461,10 +475,10 @@ class TestResumeAfterFailures:
             )
             assert {f["kind"] for f in failures} == {"exception", "worker-crash"}
         # resume one tree to completion: byte-identical to uninterrupted
-        with open_store(str(trees[1])) as store, SweepRunner() as runner:
+        with open_store(f"dir:{trees[1]}") as store, SweepRunner() as runner:
             runner.run(fast_requests(), store=store)
         ref = tmp_path / "ref"
-        with open_store(str(ref)) as store, SweepRunner() as runner:
+        with open_store(f"dir:{ref}") as store, SweepRunner() as runner:
             runner.run(fast_requests(), store=store)
         assert not (trees[1] / "failures.json").exists()
         assert not (trees[1] / ".sweep-checkpoint.json").exists()
@@ -574,6 +588,50 @@ class TestKeyboardInterrupt:
         assert "interrupted" in capsys.readouterr().err
 
 
+def worker_pids(runner):
+    return sorted(runner._executor._processes)
+
+
+class TestPoolLifetime:
+    """A finished batch leaves the process lane's main pool to the next."""
+
+    @pytest.mark.parametrize("jobs, run_timeout", [(2, None), (1, 30.0)])
+    def test_consecutive_runs_reuse_workers(self, jobs, run_timeout):
+        with SweepRunner(jobs=jobs) as runner:
+            runner.run(fast_requests((1, 2)), run_timeout=run_timeout)
+            first = worker_pids(runner)
+            records = runner.run(fast_requests((3, 4)), run_timeout=run_timeout)
+            assert all(r.ok for r in records)
+            assert first and worker_pids(runner) == first
+
+    def test_close_reaps_workers(self):
+        runner = SweepRunner(jobs=2)
+        runner.run(fast_requests((1, 2)))
+        pids = worker_pids(runner)
+        runner.close()
+        for pid in pids:
+            # Reaped already: no zombie left for anyone to wait on.
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_inline_lane_starts_no_process_and_pickles_nothing(self, monkeypatch):
+        import repro.experiments.runner as runner_module
+        from repro.telemetry import TelemetryHub
+
+        monkeypatch.setattr(runner_module, "pickle", None)
+        hub = TelemetryHub()
+        hub.subscribe(lambda event: None)
+        with SweepRunner(jobs=1) as runner:
+            records = runner.run(
+                fast_requests(),
+                policy=RETRY_2,
+                faults=FaultPlan.parse("1=raise"),
+                telemetry=hub,
+            )
+            assert runner._executor is None and runner._channel is None
+        assert records[1].failure.attempts == 3
+
+
 class TestCLI:
     def sweep_argv(self, *extra, seeds="1,2,3"):
         return [
@@ -638,7 +696,7 @@ class TestCLI:
     def test_store_resume_after_failures(self, capsys, tmp_path):
         from repro.experiments.__main__ import main
 
-        store = str(tmp_path / "store.sqlite")
+        store = "sqlite:" + str(tmp_path / "store.sqlite")
         code = main(self.sweep_argv(
             "--fault-plan", "1=raise", "--on-error", "continue",
             "--store", store,
@@ -649,11 +707,3 @@ class TestCLI:
         code = main(self.sweep_argv("--store", store, "--resume"))
         assert code == 0
         assert "2 cache hit(s), 1 executed" in capsys.readouterr().err
-
-    def test_legacy_kill_hook_still_exits_3(self, capsys, monkeypatch, tmp_path):
-        from repro.experiments.__main__ import main
-
-        monkeypatch.setenv("REPRO_SWEEP_FAULT_AFTER", "1")
-        code = main(self.sweep_argv("--store", str(tmp_path / "s.sqlite")))
-        assert code == 3
-        assert "injected fault after 1 executed run(s)" in capsys.readouterr().err

@@ -480,8 +480,13 @@ class TestEventStream:
 
     def test_keepalives_flow_while_idle(self, live):
         # A queued/running job with nothing new to say emits comment
-        # keepalives so dead connections surface as write errors.
-        job_id = self._submit(live, slots=1900)
+        # keepalives so dead connections surface as write errors. The
+        # hang makes the job really idle: with the pool kept warm across
+        # jobs, a plain run can finish before the first keepalive is due.
+        study = dict(stability_doc(slots=1900), fault_plan="0=hang:0.3")
+        status, doc = wsgi_call(live, "POST", "/studies", study)
+        assert status == 202
+        job_id = doc["id"]
         captured, body = open_stream(live, job_id)
         chunks = []
         for chunk in body:

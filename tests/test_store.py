@@ -2,7 +2,7 @@
 
 Covers content-key identity (spelling-independent dedupe), both
 backends' put/get/index primitives, checkpoint/resume through
-SweepRunner/Study (including the injected kill hook), lazy streaming
+SweepRunner/Study (including a sweep killed by a fault plan), lazy streaming
 aggregation over a store, torn-checkpoint recovery, and the CLI
 ``--store``/``--resume`` surfaces.
 """
@@ -10,20 +10,19 @@ aggregation over a store, torn-checkpoint recovery, and the CLI
 import json
 import os
 import sqlite3
-import warnings
 
 import pytest
 
 from repro.experiments.__main__ import main
+from repro.experiments.faults import FaultPlan, InjectedFault
 from repro.experiments.runner import (
-    FAULT_ENV,
-    InjectedSweepFault,
     RunRecord,
     SweepRunner,
     _grid_requests,
     execute_request,
     request_for,
 )
+from repro.experiments.specs import ParameterValueError
 from repro.results import (
     DirectoryStore,
     ResultLoadError,
@@ -236,45 +235,33 @@ class TestSqliteBackend:
         assert results.runs[0].param("seed") == 3
         store.close()
 
-    def test_open_store_picks_backend(self, tmp_path):
-        # The bare-path suffix shim still dispatches — but now under a
-        # DeprecationWarning steering callers to explicit schemes.
-        with pytest.warns(DeprecationWarning, match="explicit scheme"):
-            assert isinstance(open_store(str(tmp_path / "a.sqlite")), SqliteStore)
-        with pytest.warns(DeprecationWarning, match="suffix-based"):
-            assert isinstance(open_store(str(tmp_path / "a.db")), SqliteStore)
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(open_store(str(tmp_path / "tree")), DirectoryStore)
-        # An existing regular file is sqlite regardless of suffix.
-        path = str(tmp_path / "noext")
-        SqliteStore(path).close()
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(open_store(path), SqliteStore)
+    def test_open_store_rejects_bare_paths(self, tmp_path, capsys):
+        # Only the two schemes name a store: a bare path (whatever its
+        # suffix, even an existing sqlite file) or an unknown prefix is
+        # an input error naming both spellings, and the CLI exits 2.
+        existing = str(tmp_path / "runs.sqlite")
+        SqliteStore(existing).close()
+        for url in (existing, str(tmp_path / "tree"), f"file:{tmp_path / 'x'}"):
+            with pytest.raises(ParameterValueError, match="'sqlite:PATH' or 'dir:PATH'"):
+                open_store(url)
+        argv = ["run", "stability", "--set", "slots=1500", "--store", existing]
+        assert main(argv) == 2
+        assert "'sqlite:PATH' or 'dir:PATH'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "tree")
 
-    def test_open_store_explicit_schemes(self, tmp_path, monkeypatch):
-        # The unknown-prefix case below resolves "file:..." as a
-        # relative path; run from tmp_path so the litter lands there.
-        monkeypatch.chdir(tmp_path)
-        # Schemes override suffix dispatch entirely: sqlite: forces the
-        # sqlite backend on any path, dir: forces a tree even on a
-        # .sqlite-looking path — and neither spelling warns.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            store = open_store(f"sqlite:{tmp_path / 'anything.weird'}")
-            assert isinstance(store, SqliteStore)
-            store.close()
-            store = open_store(f"dir:{tmp_path / 'tree.sqlite'}")
-            assert isinstance(store, DirectoryStore)
-            store.close()
-            with pytest.raises(ValueError, match="empty path"):
-                open_store("sqlite:")
-            with pytest.raises(ValueError, match="empty path"):
-                open_store("dir:")
-        # Unknown prefixes are not schemes — they fall through to the
-        # (deprecated) bare-path shim, so Windows drive letters stay
-        # directory paths.
-        with pytest.warns(DeprecationWarning):
-            assert isinstance(open_store(f"file:{tmp_path / 'x'}"), DirectoryStore)
+    def test_open_store_explicit_schemes(self, tmp_path):
+        # The scheme alone picks the backend: sqlite: on any path, dir:
+        # even on a .sqlite-looking path.
+        store = open_store(f"sqlite:{tmp_path / 'anything.weird'}")
+        assert isinstance(store, SqliteStore)
+        store.close()
+        store = open_store(f"dir:{tmp_path / 'tree.sqlite'}")
+        assert isinstance(store, DirectoryStore)
+        store.close()
+        with pytest.raises(ValueError, match="empty path"):
+            open_store("sqlite:")
+        with pytest.raises(ValueError, match="empty path"):
+            open_store("dir:")
 
     def test_study_run_accepts_store_urls(self, tmp_path):
         url = f"sqlite:{tmp_path / 'runs.sqlite'}"
@@ -368,28 +355,21 @@ class TestSweepResume:
         )
         assert seen == [r.run_id for r in requests]
 
-    def test_injected_fault_stops_after_n_executed(self, store, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV, "2")
+    def test_injected_fault_stops_after_n_executed(self, store):
         requests = [fast_request(seed=s) for s in (3, 4, 5)]
-        with pytest.raises(InjectedSweepFault):
-            SweepRunner(jobs=1).run(requests, store=store)
+        with pytest.raises(InjectedFault):
+            SweepRunner(jobs=1).run(
+                requests, store=store, faults=FaultPlan.parse("2=raise")
+            )
         assert len(store) == 2
 
-    def test_cache_hits_do_not_count_toward_fault(self, store, monkeypatch):
-        requests = [fast_request(seed=s) for s in (3, 4, 5)]
-        SweepRunner(jobs=1).run(requests, store=store)
-        monkeypatch.setenv(FAULT_ENV, "1")
-        # All requests cached: nothing executes, so no fault fires.
-        records = SweepRunner(jobs=1).run(requests, store=store)
-        assert all(record.cached for record in records)
-
-    def test_resumed_store_equals_uninterrupted(self, tmp_path, monkeypatch):
+    def test_resumed_store_equals_uninterrupted(self, tmp_path):
         requests = [fast_request(seed=s) for s in (3, 4, 5, 6)]
         interrupted = SqliteStore(str(tmp_path / "interrupted.sqlite"))
-        monkeypatch.setenv(FAULT_ENV, "2")
-        with pytest.raises(InjectedSweepFault):
-            SweepRunner(jobs=1).run(requests, store=interrupted)
-        monkeypatch.delenv(FAULT_ENV)
+        with pytest.raises(InjectedFault):
+            SweepRunner(jobs=1).run(
+                requests, store=interrupted, faults=FaultPlan.parse("2=raise")
+            )
         resumed = SweepRunner(jobs=1).run(requests, store=interrupted)
         assert sum(record.cached for record in resumed) == 2
 
@@ -402,14 +382,14 @@ class TestSweepResume:
             reference.close()
 
     @pytest.mark.slow
-    def test_resume_parallel_matches_serial(self, tmp_path, monkeypatch):
+    def test_resume_parallel_matches_serial(self, tmp_path):
         requests = [fast_request(seed=s) for s in (3, 4, 5, 6)]
         parallel = SqliteStore(str(tmp_path / "parallel.sqlite"))
-        monkeypatch.setenv(FAULT_ENV, "2")
         with SweepRunner(jobs=2) as runner:
-            with pytest.raises(InjectedSweepFault):
-                runner.run(requests, store=parallel)
-            monkeypatch.delenv(FAULT_ENV)
+            with pytest.raises(InjectedFault):
+                runner.run(
+                    requests, store=parallel, faults=FaultPlan.parse("2=raise")
+                )
             runner.run(requests, store=parallel)
         serial = SqliteStore(str(tmp_path / "serial.sqlite"))
         SweepRunner(jobs=1).run(requests, store=serial)
@@ -484,7 +464,7 @@ class TestCLI:
         assert "--resume requires --store" in capsys.readouterr().err
 
     def test_sweep_store_reports_hits(self, tmp_path, capsys):
-        store_path = str(tmp_path / "store.sqlite")
+        store_path = f"sqlite:{tmp_path / 'store.sqlite'}"
         assert main(self.sweep_argv("--store", store_path)) == 0
         assert "2 executed" in capsys.readouterr().err
         assert main(self.sweep_argv("--store", store_path, "--resume")) == 0
@@ -492,12 +472,13 @@ class TestCLI:
         assert "[resuming]" in err
         assert "2 cache hit(s), 0 executed" in err
 
-    def test_fault_exit_code_then_resume(self, tmp_path, capsys, monkeypatch):
-        store_path = str(tmp_path / "store.sqlite")
-        monkeypatch.setenv(FAULT_ENV, "1")
-        assert main(self.sweep_argv("--store", store_path)) == 3
-        assert "injected fault after 1 executed" in capsys.readouterr().err
-        monkeypatch.delenv(FAULT_ENV)
+    def test_fault_exit_code_then_resume(self, tmp_path, capsys):
+        # A fail-mode fault plan kills the sweep at request 1; the run
+        # before it is already checkpointed, so the resume executes one.
+        store_path = f"sqlite:{tmp_path / 'store.sqlite'}"
+        with pytest.raises(InjectedFault):
+            main(self.sweep_argv("--store", store_path, "--fault-plan", "1=raise"))
+        capsys.readouterr()
         out = str(tmp_path / "out")
         assert (
             main(self.sweep_argv("--store", store_path, "--resume", "--out", out))
@@ -507,7 +488,7 @@ class TestCLI:
         assert os.path.isfile(os.path.join(out, "manifest.json"))
 
     def test_run_accepts_store(self, tmp_path, capsys):
-        store_path = str(tmp_path / "store.sqlite")
+        store_path = f"sqlite:{tmp_path / 'store.sqlite'}"
         argv = [
             "run",
             "stability",
@@ -541,7 +522,7 @@ class TestCLI:
             "--grid",
             "algorithm=none,ezflow",
             "--store",
-            store_path,
+            f"sqlite:{store_path}",
         ]
         assert main(sweep) == 0
         capsys.readouterr()

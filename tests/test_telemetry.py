@@ -7,7 +7,7 @@ import queue
 
 import pytest
 
-from repro.experiments.faults import FaultPlan
+from repro.experiments.faults import FaultAction, FaultPlan
 from repro.experiments.runner import ErrorPolicy, SweepRunner, request_for
 from repro.results.store import SqliteStore
 from repro.sim.engine import Engine
@@ -507,6 +507,31 @@ class TestRunnerStreams:
                 runner.run(requests, policy="fail", faults=plan, telemetry=hub)
         stream = stream_for(events, requests[0].run_id)
         assert stream[-1].kind == RunFailed.kind
+
+    def test_inline_interrupt_emits_run_failed_before_raising(self, monkeypatch):
+        # Even under continue, an interrupt is no run failure to record:
+        # it ends the run's stream and aborts the batch.
+        def interrupt(self, run_id, attempt):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(FaultAction, "trigger", interrupt)
+        requests = fast_requests()
+        hub, events = collect_hub()
+        seen = []
+        with SweepRunner() as runner:
+            with pytest.raises(KeyboardInterrupt):
+                runner.run(
+                    requests,
+                    on_record=seen.append,
+                    policy="continue",
+                    faults=FaultPlan.parse("1=raise"),
+                    telemetry=hub,
+                )
+        assert [r.request.run_id for r in seen] == [requests[0].run_id]
+        assert_grammar(events, requests[0].run_id)
+        failed = assert_grammar(events, requests[1].run_id, terminal=RunFailed)
+        assert failed[-1].error == "KeyboardInterrupt"
+        assert not stream_for(events, requests[2].run_id)
 
 
 class TestOnRecordContract:
