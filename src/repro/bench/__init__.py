@@ -177,6 +177,42 @@ def build_suite() -> List[BenchCase]:
             repeat=2,
         )
     )
+    # Mesh scale, where topology generation is a visible share of a
+    # run: n1000 is the large slotted layout of ezbench's `mesh`
+    # workload; n4000 at a short horizon tracks how generation and the
+    # slot loop scale past it.
+    cases.append(
+        BenchCase(
+            "meshgen.slotted.n1000",
+            "scenario",
+            "meshgen",
+            _kw(
+                nodes=1000,
+                density=5.0,
+                flows=40,
+                fidelity="slotted",
+                duration_s=4.0,
+                warmup_s=1.0,
+            ),
+            repeat=2,
+        )
+    )
+    cases.append(
+        BenchCase(
+            "meshgen.slotted.n4000",
+            "scenario",
+            "meshgen",
+            _kw(
+                nodes=4000,
+                density=5.0,
+                flows=40,
+                fidelity="slotted",
+                duration_s=2.0,
+                warmup_s=0.5,
+            ),
+            repeat=2,
+        )
+    )
     # Dynamic link state: Gilbert-Elliott loss on every link plus a
     # churn/mobility schedule (down, move, up), so plan invalidation and
     # BFS re-routing are part of the measured trajectory.

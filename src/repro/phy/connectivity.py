@@ -9,7 +9,21 @@ is encoded, including its asymmetric sensing relations.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
+import math
+from bisect import bisect_right
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.phy.propagation import Position, RangeModel, distance
 
@@ -20,6 +34,59 @@ NodeId = Hashable
 #: strong enough to be carrier-sensed, ~13 dB below a reception-grade
 #: signal, hence captured through by any decodable frame.
 SENSE_ONLY_POWER = 0.05
+
+
+def neighbour_candidates(
+    points: Sequence[Position], radius: float
+) -> Iterator[Tuple[int, int, float]]:
+    """Yield ``(i, j, distance(points[i], points[j]))`` for nearby pairs.
+
+    Every index pair ``i < j`` whose exact :func:`distance` is at most
+    ``radius`` is yielded — plus, rarely, a pair a rounding error
+    beyond it — in the ``(i, j)`` lexicographic order of an all-pairs
+    scan, so callers that decide edges with their own predicate on the
+    yielded distance add them to their sets in exactly the order that
+    scan would. Cost is O(n * neighbours), not O(n^2): points are
+    bucketed into square cells no narrower than ``radius``, so a
+    partner within ``radius`` lies in the 3x3 block of cells around a
+    point, and block members are screened by squared distance before
+    the exact distance is paid for. Coordinates must be finite.
+    """
+    if len(points) < 2:
+        return
+    xs = [point[0] for point in points]
+    ys = [point[1] for point in points]
+    # The margin (far above the rounding error of the quotients below,
+    # relative to the largest coordinate) keeps a pair within `radius`
+    # from ever landing two cell indices apart.
+    extent = max(max(map(abs, xs)), max(map(abs, ys)))
+    width = radius + (radius + extent) * 2.0**-40
+    cells: Dict[Tuple[int, int], List[int]] = {}
+    keys = [(math.floor(x / width), math.floor(y / width)) for x, y in zip(xs, ys)]
+    for index, key in enumerate(keys):
+        cells.setdefault(key, []).append(index)
+    # Each occupied cell's 3x3 block, as one ascending index list.
+    blocks: Dict[Tuple[int, int], List[int]] = {}
+    for cx, cy in cells:
+        blocks[cx, cy] = sorted(
+            index
+            for gx in (cx - 1, cx, cx + 1)
+            for gy in (cy - 1, cy, cy + 1)
+            for index in cells.get((gx, gy), ())
+        )
+    # Conservative screen: the relative slack dwarfs the few ulps by
+    # which the squared sum and math.hypot can disagree.
+    bound = radius * radius * (1.0 + 2.0**-40)
+    for i, key in enumerate(keys):
+        x, y = xs[i], ys[i]
+        block = blocks[key]
+        point = points[i]
+        for j in [
+            j
+            for j in block[bisect_right(block, i) :]
+            if (x - xs[j]) * (x - xs[j]) + (y - ys[j]) * (y - ys[j]) <= bound
+        ]:
+            yield i, j, distance(point, points[j])
 
 
 class ConnectivityMap:
@@ -108,27 +175,31 @@ class GeometricConnectivity(ConnectivityMap):
         self._build()
 
     def _build(self) -> None:
-        # Distance is symmetric (identical IEEE arithmetic both ways),
-        # so each unordered pair is evaluated once and recorded in both
-        # directions — same sets as the full N^2 scan at half the cost.
-        positions = self.positions
-        ids = list(positions)
+        """Both edge tables from a cell-grid search at the sense radius.
+
+        :func:`neighbour_candidates` yields each unordered pair that may
+        lie within sensing range once (distance is symmetric: identical
+        IEEE arithmetic both ways), and :attr:`ranges` decides both
+        relations on the exact distance, recording each in both
+        directions. Pairs arrive in the all-pairs scan's (i, j) order,
+        so every set receives its members in the same order and every
+        frozenset iterates as a full N^2 scan would build it — channel
+        plans, BFS and slotted contention all iterate these sets.
+        """
+        ids = list(self.positions)
         can_receive = self.ranges.can_receive
         can_sense = self.ranges.can_sense
         rx: Dict[NodeId, Set[NodeId]] = {a: set() for a in ids}
         sense: Dict[NodeId, Set[NodeId]] = {a: set() for a in ids}
-        for i, a in enumerate(ids):
-            pos_a = positions[a]
-            rx_a = rx[a]
-            sense_a = sense[a]
-            for b in ids[i + 1 :]:
-                d = distance(pos_a, positions[b])
-                if can_sense(d):
-                    sense_a.add(b)
-                    sense[b].add(a)
-                    if can_receive(d):
-                        rx_a.add(b)
-                        rx[b].add(a)
+        points = [self.positions[a] for a in ids]
+        for i, j, d in neighbour_candidates(points, self.ranges.sense_range_m):
+            if can_sense(d):
+                a, b = ids[i], ids[j]
+                sense[a].add(b)
+                sense[b].add(a)
+                if can_receive(d):
+                    rx[a].add(b)
+                    rx[b].add(a)
         for a in ids:
             self._rx[a] = frozenset(rx[a])
             self._sense[a] = frozenset(sense[a])

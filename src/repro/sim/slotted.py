@@ -123,15 +123,21 @@ def sample_transmitters(
 
 class FixedCw:
     """Windows never adapt (standard 802.11, and the static penalty
-    strategy once the initial per-node assignment encodes it)."""
+    strategy once the initial per-node assignment encodes it).
 
-    #: Static rules let the mesh skip the per-slot backlog snapshot.
+    Every rule's ``update(cw, queues, successors)`` runs once per slot:
+    ``queues`` maps each node to its FIFO (rules read only its
+    ``len``, and only for the nodes they visit) and ``successors`` maps
+    each forwarding node to its next hops.
+    """
+
+    #: Static rules let the mesh skip the per-slot rule call.
     adapts = False
 
     def update(
         self,
         cw: Dict[NodeId, int],
-        backlog: Dict[NodeId, float],
+        queues: Dict[NodeId, deque],
         successors: Dict[NodeId, Tuple[NodeId, ...]],
     ) -> None:
         """No-op."""
@@ -160,10 +166,10 @@ class EZFlowCw:
         self.mincw = mincw
         self.maxcw = maxcw
 
-    def update(self, cw, backlog, successors) -> None:
+    def update(self, cw, queues, successors) -> None:
         """Double/halve each node's window on its worst successor backlog."""
-        for node in sorted(successors):
-            b_next = max(backlog.get(nxt, 0.0) for nxt in successors[node])
+        for node, nexts in successors.items():
+            b_next = max([len(queues[nxt]) for nxt in nexts])
             if b_next > self.b_max:
                 cw[node] = min(cw[node] * 2, self.maxcw)
             elif b_next < self.b_min:
@@ -182,12 +188,10 @@ class DiffQCw:
     def __init__(self, cwmin_for: Callable[[float], int]):
         self.cwmin_for = cwmin_for
 
-    def update(self, cw, backlog, successors) -> None:
+    def update(self, cw, queues, successors) -> None:
         """Set each node's window from its differential-backlog class."""
-        for node in sorted(successors):
-            drop = backlog.get(node, 0.0) - min(
-                backlog.get(nxt, 0.0) for nxt in successors[node]
-            )
+        for node, nexts in successors.items():
+            drop = len(queues[node]) - min([len(queues[nxt]) for nxt in nexts])
             cw[node] = self.cwmin_for(drop)
 
 
@@ -376,7 +380,7 @@ class SlottedMesh:
         #: of rebuilt from scratch (slot cost tracks queue *churn*, not
         #: the backlogged-node count).
         self._planned: Dict[NodeId, Tuple[int, NodeId]] = {}
-        #: Static rules (FixedCw) skip the per-slot backlog snapshot.
+        #: Static rules (FixedCw) skip the per-slot rule call.
         self._adaptive = getattr(self.rule, "adapts", True)
         #: Every window stays at the (power-of-two) default forever:
         #: contention can take the exact uniform-draw fast path in
@@ -620,7 +624,7 @@ class SlottedMesh:
                 relay_queue.append(head)
 
         if self._adaptive:
-            self.rule.update(cw, self.backlog(), self.successors)
+            self.rule.update(cw, queues, self.successors)
         self.slot += 1
         if not record:
             return None

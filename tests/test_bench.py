@@ -29,6 +29,10 @@ class TestSuiteDeclaration:
         names = {case.name for case in build_suite()}
         for nodes in (16, 25, 49, 100):
             assert f"meshgen.n{nodes}" in names
+        # Mesh-scale slotted points run in the full suite only.
+        full_only = {case.name for case in build_suite() if not case.quick}
+        for nodes in (100, 400, 1000, 4000):
+            assert f"meshgen.slotted.n{nodes}" in full_only
 
     def test_quick_subset_is_nonempty_and_fast_cases_only(self):
         quick = [case for case in build_suite() if case.quick]
