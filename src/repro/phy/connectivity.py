@@ -191,7 +191,7 @@ class GeometricConnectivity(ConnectivityMap):
         can_sense = self.ranges.can_sense
         rx: Dict[NodeId, Set[NodeId]] = {a: set() for a in ids}
         sense: Dict[NodeId, Set[NodeId]] = {a: set() for a in ids}
-        points = [self.positions[a] for a in ids]
+        points = list(self.positions.values())
         for i, j, d in neighbour_candidates(points, self.ranges.sense_range_m):
             if can_sense(d):
                 a, b = ids[i], ids[j]
