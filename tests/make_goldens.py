@@ -4,9 +4,9 @@ Run from the repo root::
 
     PYTHONPATH=src python tests/make_goldens.py
 
-The goldens pin the exact bytes of two representative exports — one
-small canned figure run and one generated-topology (meshgen) run — so
-any change to simulator semantics, RNG draw order, or export formatting
+The goldens pin the exact bytes of representative exports — one small
+canned figure run and four generated-topology (meshgen) runs covering
+both engine tiers and the dynamic loss/churn axes — so any change to simulator semantics, RNG draw order, or export formatting
 shows up as a byte diff in ``tests/test_golden_exports.py``. Only
 regenerate them when an *intentional* behaviour change is being made,
 and say so in the commit message.
@@ -39,6 +39,53 @@ GOLDEN_RUNS = (
             "seed": 11,
         },
         "meshgen_mesh16",
+    ),
+    # The dynamic axes on both tiers: the Dynamic link state table, the
+    # per-link loss models and churn application (down, move, up).
+    (
+        "meshgen",
+        {
+            "topology": "mesh",
+            "nodes": 16,
+            "flows": 3,
+            "algorithm": "diffq",
+            "loss": "ge:0.05:0.3",
+            "churn": "down:3@1.5+move:5@2:150:150+up:3@3",
+            "duration_s": 4.0,
+            "warmup_s": 1.0,
+            "seed": 11,
+        },
+        "meshgen_event_dynamic",
+    ),
+    (
+        "meshgen",
+        {
+            "topology": "mesh",
+            "nodes": 16,
+            "flows": 3,
+            "algorithm": "penalty",
+            "loss": "ge:0.05:0.3",
+            "churn": "down:3@1.5+move:5@2:150:150+up:3@3",
+            "duration_s": 4.0,
+            "warmup_s": 1.0,
+            "seed": 11,
+            "fidelity": "slotted",
+        },
+        "meshgen_slotted_dynamic",
+    ),
+    (
+        "meshgen",
+        {
+            "topology": "grid",
+            "nodes": 25,
+            "flows": 4,
+            "workload": "mixed",
+            "algorithm": "ezflow",
+            "duration_s": 6.0,
+            "warmup_s": 2.0,
+            "fidelity": "slotted",
+        },
+        "meshgen_slotted_grid25",
     ),
 )
 

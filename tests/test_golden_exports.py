@@ -1,12 +1,13 @@
 """Golden byte-identity regression tests.
 
-``tests/goldens/`` holds checked-in exports of two representative runs
-(generated by ``tests/make_goldens.py``): a small canned figure and one
-meshgen run. These tests re-run both and assert the exported artefacts
-reproduce the committed bytes exactly — pinning simulator semantics,
-RNG draw order, float formatting and export layout through performance
-refactors. A legitimate behaviour change must regenerate the goldens
-(and say so); an optimization must not touch them.
+``tests/goldens/`` holds checked-in exports of representative runs
+(generated by ``tests/make_goldens.py``): a small canned figure and
+meshgen runs on both engine tiers. These tests re-run each and assert
+the exported artefacts reproduce the committed bytes exactly — pinning
+simulator semantics, RNG draw order, float formatting and export layout
+through performance refactors. A legitimate behaviour change must
+regenerate the goldens (and say so); an optimization must not touch
+them.
 """
 
 from __future__ import annotations
