@@ -3,6 +3,8 @@
 Experiment benches run the real harnesses at reduced horizons (the
 simulations are minutes of simulated time; pytest-benchmark runs them
 once via ``pedantic``), then assert the paper's *shape* on the result.
+A harness whose one result backs several figures (scenario 1 and 2)
+is run once by a module-scoped fixture in its own file instead.
 Microbenches (engine, BOE, winner process) use normal rounds.
 """
 

@@ -43,13 +43,6 @@ from repro.analysis.lyapunov import (
     verify_theorem1,
     DriftReport,
 )
-from repro.analysis.generalk import (
-    SweepRow,
-    empirical_drift,
-    region_occupancy,
-    region_signature,
-    stability_sweep,
-)
 
 __all__ = [
     "activation_distribution",
@@ -67,9 +60,4 @@ __all__ = [
     "exact_k_step_drift",
     "verify_theorem1",
     "DriftReport",
-    "SweepRow",
-    "empirical_drift",
-    "region_occupancy",
-    "region_signature",
-    "stability_sweep",
 ]

@@ -17,7 +17,6 @@ from repro.core.boe import BufferOccupancyEstimator
 from repro.core.caa import CaaConfig, ChannelAccessAdapter
 from repro.core.config import EZFlowConfig
 from repro.core.controller import EZFlowController, attach_ezflow
-from repro.core.nonfifo import NonFifoBOE
 from repro.core.ratecaa import (
     RateCaa,
     RateEZFlowController,
@@ -32,7 +31,6 @@ __all__ = [
     "EZFlowConfig",
     "EZFlowController",
     "attach_ezflow",
-    "NonFifoBOE",
     "RateCaa",
     "RateEZFlowController",
     "RateScheduler",

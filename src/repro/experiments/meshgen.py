@@ -16,31 +16,31 @@ Algorithms: ``none`` (standard 802.11), ``ezflow`` (the paper),
 ``diffq`` (differential backlog with message passing), ``penalty``
 (static source throttling, q = 1/8 as in scenario 1).
 
-Execution is tiered: :func:`run` freezes its keywords into a scenario
-IR (:mod:`repro.experiments.ir`) and dispatches on the ``fidelity``
-axis through the engine-tier registry (:mod:`repro.sim.tiers`) —
-``event`` is the per-frame core whose exports are the family's
-byte-stable artefacts, ``slotted`` the slot-synchronous fast tier
-(:mod:`repro.experiments.tiers`). Cross-tier agreement is measured,
-not assumed: see :mod:`repro.results.validation`.
+Execution is tiered: :func:`run` validates its keywords, freezes them
+into a scenario IR and hands it, by the ``fidelity`` axis, to one of
+the two engine tiers in :mod:`repro.experiments.tiers` — ``event`` is
+the per-frame core whose exports are the family's byte-stable
+artefacts, ``slotted`` the slot-synchronous fast tier. Cross-tier
+agreement is measured, not assumed: see :mod:`repro.results.validation`.
 """
 
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult
-from repro.experiments.ir import ALGORITHMS, PENALTY_Q, build_ir
-from repro.sim.tiers import get_tier, register_tier_entry
+from repro.phy.linkstate import parse_loss_spec
+from repro.topology.churn import parse_churn_spec
+from repro.topology.meshgen import MeshSpec
 
 __all__ = ["ALGORITHMS", "PENALTY_Q", "FIDELITIES", "run"]
 
+ALGORITHMS = ("none", "ezflow", "diffq", "penalty")
+
+#: Static-penalty throttling factor (scenario 1's converged setting:
+#: relays at 2^4, sources at 2^7).
+PENALTY_Q = 0.125
+
 #: The engine tiers this family runs on (the ``fidelity`` axis values).
 FIDELITIES = ("event", "slotted")
-
-# Lazy entry points: resolving happens on the first run() of each
-# fidelity, so importing this module (e.g. to list the catalogue) never
-# drags in either execution back end.
-register_tier_entry("event", "repro.experiments.tiers:EVENT_TIER")
-register_tier_entry("slotted", "repro.experiments.tiers:SLOTTED_TIER")
 
 
 def run(
@@ -78,7 +78,24 @@ def run(
     fraction of the cost). Like the dynamic axes, a non-default
     ``fidelity`` is recorded in the exported parameters.
     """
-    ir = build_ir(
+    if algorithm not in ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; known: {', '.join(ALGORITHMS)}"
+        )
+    loss_spec = parse_loss_spec(loss) if loss else None
+    churn_schedule = parse_churn_spec(churn) if churn else None
+    mesh_spec = MeshSpec(
+        kind=topology, nodes=nodes, density=density, gateways=gateways, seed=seed
+    )
+    if fidelity not in FIDELITIES:
+        raise ValueError(
+            f"unknown fidelity {fidelity!r}; known: {', '.join(FIDELITIES)}"
+        )
+    # Imported on first run, so listing the catalogue never loads either
+    # execution back end.
+    from repro.experiments import tiers
+
+    ir = tiers.MeshScenarioIR(
         topology=topology,
         nodes=nodes,
         density=density,
@@ -93,5 +110,10 @@ def run(
         loss=loss,
         churn=churn,
         fidelity=fidelity,
+        mesh_spec=mesh_spec,
+        loss_spec=loss_spec,
+        churn_schedule=churn_schedule,
     )
-    return get_tier(ir.fidelity).run_scenario(ir)
+    if fidelity == "slotted":
+        return tiers.run_slotted(ir)
+    return tiers.run_event(ir)

@@ -10,16 +10,6 @@ transmit entity per queue, each with its own adjustable ``CWmin``
 from repro.mac.frames import Frame, FrameKind
 from repro.mac.queues import FifoQueue, QueueDropError
 from repro.mac.dcf import Dcf, DcfConfig, TxEntity
-from repro.mac.edca import (
-    AC_BE,
-    AC_BK,
-    AC_VI,
-    AC_VO,
-    ACCESS_CATEGORIES,
-    AccessCategory,
-    assign_categories,
-    configure_entity,
-)
 
 __all__ = [
     "Frame",
@@ -29,12 +19,4 @@ __all__ = [
     "Dcf",
     "DcfConfig",
     "TxEntity",
-    "AccessCategory",
-    "ACCESS_CATEGORIES",
-    "AC_VO",
-    "AC_VI",
-    "AC_BE",
-    "AC_BK",
-    "assign_categories",
-    "configure_entity",
 ]

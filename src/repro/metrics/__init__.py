@@ -9,11 +9,10 @@ from repro.metrics.stats import (
     percentile,
 )
 from repro.metrics.sampling import BufferSampler
-from repro.metrics.occupancy import group_mean_series, mean_occupancy_by_group
+from repro.metrics.occupancy import group_mean_series
 
 __all__ = [
     "group_mean_series",
-    "mean_occupancy_by_group",
     "jain_fairness_index",
     "FlowStats",
     "summarize_flow",

@@ -2,39 +2,16 @@
 
 The generated-topology experiments report queue backlog *per hop ring*
 (all nodes the same BFS distance from their gateway) rather than per
-node — on a 49-node mesh, per-node tables are noise. The helpers here
-reduce a :class:`~repro.metrics.sampling.BufferSampler`'s per-node
-series to per-group means, both as a summary table and as a pointwise
-mean time series.
+node — on a 49-node mesh, per-node tables are noise. The helper here
+reduces a :class:`~repro.metrics.sampling.BufferSampler`'s per-node
+series to a group's pointwise mean time series.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Tuple
+from typing import Hashable, Iterable, List, Tuple
 
 from repro.metrics.sampling import BufferSampler
-
-
-def mean_occupancy_by_group(
-    sampler: BufferSampler,
-    groups: Mapping[Hashable, Iterable[Hashable]],
-    start_us: int,
-    end_us: int,
-) -> List[Tuple[Hashable, int, float]]:
-    """Per-group (key, node count, mean occupancy) rows, sorted by key.
-
-    The group mean is the average of the member nodes' window means —
-    every node was sampled on the same cadence, so this equals the mean
-    of the pointwise group average.
-    """
-    rows: List[Tuple[Hashable, int, float]] = []
-    # Natural ordering: hop rings are ints and must sort numerically
-    # (str-keyed sorting would put ring 10 before ring 2).
-    for key in sorted(groups):
-        members = sorted(groups[key], key=str)
-        means = [sampler.mean_occupancy(node, start_us, end_us) for node in members]
-        rows.append((key, len(members), sum(means) / len(means) if means else 0.0))
-    return rows
 
 
 def group_mean_series(

@@ -167,6 +167,8 @@ class GeometricConnectivity(ConnectivityMap):
 
     def __init__(self, positions: Mapping[NodeId, Position], ranges: RangeModel):
         self.positions: Dict[NodeId, Position] = dict(positions)
+        # The id set is fixed: mobility moves a node, churn silences it.
+        self._nodes = frozenset(self.positions)
         self.ranges = ranges
         self.epoch = 0
         self._down: Set[NodeId] = set()
@@ -277,7 +279,7 @@ class GeometricConnectivity(ConnectivityMap):
     # -- queries --------------------------------------------------------
 
     def nodes(self) -> FrozenSet[NodeId]:
-        return frozenset(self.positions)
+        return self._nodes
 
     def rx_power(self, receiver: NodeId, sender: NodeId) -> float:
         """Two-ray far-field power: d^-4 (relative), 0 beyond sensing."""

@@ -178,15 +178,34 @@ def parse_loss_spec(text: str) -> LossSpec:
     )
 
 
-def apply_loss_models(network, spec: "LossSpec | str") -> int:
+class LinkModels(dict):
+    """A per-link model table keyed by ``(sender, receiver)``.
+
+    It answers :func:`apply_loss_models` under the same two method names
+    as :class:`~repro.phy.channel.Channel`, which keeps the event tier's
+    models; the slotted tier, having no channel, keeps them here.
+    """
+
+    def link_model(self, sender: NodeId, receiver: NodeId):
+        """The installed model of the directed link, or ``None``."""
+        return self.get((sender, receiver))
+
+    def set_link_model(self, sender: NodeId, receiver: NodeId, model) -> None:
+        """Install ``model`` on the directed link sender->receiver."""
+        self[(sender, receiver)] = model
+
+
+def apply_loss_models(links, connectivity, spec: "LossSpec | str", rng) -> int:
     """Install one model instance per directed reception edge.
 
-    Links are enumerated in repr-sorted (sender, receiver) order and
-    each model gets its own :func:`link_stream_name` stream from the
-    network's registry, so the whole configuration — and every link's
-    loss sequence — is a pure function of the master seed. Returns the
-    number of links *newly* configured. Sense-only edges carry no
-    model: loss is only ever consulted where a frame is decodable.
+    ``links`` holds the models: a :class:`~repro.phy.channel.Channel`
+    or a :class:`LinkModels` table. Links are enumerated in repr-sorted
+    (sender, receiver) order over ``connectivity`` and each model gets
+    its own :func:`link_stream_name` stream from the registry ``rng``,
+    so the whole configuration — and every link's loss sequence — is a
+    pure function of the master seed. Returns the number of links
+    *newly* configured. Sense-only edges carry no model: loss is only
+    ever consulted where a frame is decodable.
 
     Incremental: links that already carry a model keep it (preserving
     the model's state and stream position), so churn re-applies this
@@ -196,15 +215,12 @@ def apply_loss_models(network, spec: "LossSpec | str") -> int:
     """
     if isinstance(spec, str):
         spec = parse_loss_spec(spec)
-    connectivity = network.connectivity
-    channel = network.channel
-    rng = network.rng
     configured = 0
     for sender in sorted(connectivity.nodes(), key=repr):
         for receiver in sorted(connectivity.receivers_of(sender), key=repr):
-            if channel.link_model(sender, receiver) is not None:
+            if links.link_model(sender, receiver) is not None:
                 continue
             model = spec.build(rng.stream(link_stream_name(sender, receiver)))
-            channel.set_link_model(sender, receiver, model)
+            links.set_link_model(sender, receiver, model)
             configured += 1
     return configured

@@ -1,28 +1,18 @@
-"""Discrete-event simulation engine (and the engine-tier registry).
+"""Discrete-event simulation engine and the slot-synchronous core.
 
 The engine is deliberately small: a monotonically increasing integer clock
 (microsecond ticks), a binary-heap event queue, named deterministic RNG
 streams, and a trace recorder. Everything above it (PHY, MAC, traffic,
 EZ-flow) is built from scheduled callbacks.
 
-Scenarios do not have to execute on it, though: :mod:`repro.sim.tiers`
-is the registry of *engine tiers* — named back ends (``event``, the
-per-frame core; ``slotted``, the slot-synchronous fast tier in
-:mod:`repro.sim.slotted`) that consume a scenario IR and produce the
-same result surface. Harnesses dispatch on the ``fidelity`` axis
-through :func:`get_tier`.
+:mod:`repro.sim.slotted` is the other execution core: one contention
+phase per calibrated slot over the same connectivity maps. The meshgen
+family runs a scenario on either, by its ``fidelity`` axis (see
+:mod:`repro.experiments.tiers`).
 """
 
 from repro.sim.engine import Engine, Event, SimTimeError
 from repro.sim.rng import RngRegistry
-from repro.sim.tiers import (
-    EngineTier,
-    UnknownTierError,
-    get_tier,
-    register_tier,
-    register_tier_entry,
-    tier_names,
-)
 from repro.sim.tracing import TraceRecorder, TimeSeries
 from repro.sim.units import (
     US_PER_S,
@@ -35,15 +25,9 @@ from repro.sim.units import (
 
 __all__ = [
     "Engine",
-    "EngineTier",
     "Event",
     "SimTimeError",
     "RngRegistry",
-    "UnknownTierError",
-    "get_tier",
-    "register_tier",
-    "register_tier_entry",
-    "tier_names",
     "TraceRecorder",
     "TimeSeries",
     "US_PER_S",

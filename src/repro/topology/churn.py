@@ -70,6 +70,15 @@ class ChurnEvent:
         if self.kind == "move" and (self.x is None or self.y is None):
             raise ChurnSpecError("move events need target coordinates")
 
+    def apply(self, connectivity: GeometricConnectivity) -> None:
+        """Mutate ``connectivity`` by this event (bumping its epoch)."""
+        if self.kind == "down":
+            connectivity.set_node_active(self.node, False)
+        elif self.kind == "up":
+            connectivity.set_node_active(self.node, True)
+        else:
+            connectivity.move_node(self.node, (self.x, self.y))
+
 
 @dataclass(frozen=True)
 class ChurnSchedule:
@@ -86,6 +95,15 @@ class ChurnSchedule:
             range(len(self.events)), key=lambda i: (self.events[i].time_s, i)
         )
         return [self.events[i] for i in order]
+
+    def check_nodes(self, connectivity) -> None:
+        """Reject a schedule naming a node that ``connectivity`` lacks."""
+        known = connectivity.nodes()
+        for event in self.events:
+            if event.node not in known:
+                raise ChurnSpecError(
+                    f"churn event targets unknown node {event.node!r}"
+                )
 
 
 def _parse_event(token: str) -> ChurnEvent:
@@ -139,12 +157,7 @@ class ChurnDriver:
             raise ChurnSpecError(
                 "churn schedules need a mutable GeometricConnectivity map"
             )
-        known = connectivity.nodes()
-        for event in schedule.events:
-            if event.node not in known:
-                raise ChurnSpecError(
-                    f"churn event targets unknown node {event.node!r}"
-                )
+        schedule.check_nodes(connectivity)
         self.network = network
         self.schedule = schedule
         self.loss_spec = loss_spec
@@ -163,18 +176,15 @@ class ChurnDriver:
     # -- event application ----------------------------------------------
 
     def _apply(self, event: ChurnEvent) -> None:
-        connectivity = self.network.connectivity
-        if event.kind == "down":
-            connectivity.set_node_active(event.node, False)
-        elif event.kind == "up":
-            connectivity.set_node_active(event.node, True)
-        else:
-            connectivity.move_node(event.node, (event.x, event.y))
+        network = self.network
+        event.apply(network.connectivity)
         # The epoch bump already invalidates plans lazily; announcing it
         # keeps the channel's caches coherent for direct inspection too.
-        self.network.channel.connectivity_changed()
+        network.channel.connectivity_changed()
         if self.loss_spec is not None:
-            apply_loss_models(self.network, self.loss_spec)
+            apply_loss_models(
+                network.channel, network.connectivity, self.loss_spec, network.rng
+            )
         self._reroute()
         self.applied.append(event)
 

@@ -96,6 +96,13 @@ class TestSpecParsing:
         with pytest.raises(ChurnSpecError):
             ChurnDriver(network, parse_churn_spec("down:99@1"))
 
+    @pytest.mark.parametrize("fidelity", ["event", "slotted"])
+    def test_both_tiers_reject_unknown_nodes(self, fidelity):
+        from repro.experiments import meshgen
+
+        with pytest.raises(ChurnSpecError, match="unknown node 99"):
+            meshgen.run(nodes=9, duration_s=2.0, churn="down:99@1", fidelity=fidelity)
+
 
 def fresh_equivalent(conn):
     """A GeometricConnectivity built from scratch: active nodes only."""
@@ -355,9 +362,9 @@ class TestReroute:
 
         network, _topo = self.build_grid()
         spec = parse_loss_spec("ge:0.05:0.3")
-        apply_loss_models(network, spec)
         conn = network.connectivity
         channel = network.channel
+        apply_loss_models(channel, conn, spec, network.rng)
         kept = channel.link_model(0, 1)
         assert kept is not None
         before = channel.link_model_count()

@@ -60,6 +60,17 @@ class TestGeometricConnectivity:
         conn = GeometricConnectivity(chain_positions(3), RangeModel())
         assert conn.nodes() == frozenset({0, 1, 2})
 
+    def test_nodes_is_built_once(self):
+        # Channel.attach asks for the node set once per node; a copy per
+        # call would make wiring O(n^2). Mutation moves and silences
+        # nodes but never changes the id set.
+        conn = GeometricConnectivity(chain_positions(4), RangeModel())
+        first = conn.nodes()
+        conn.move_node(1, (900.0, 0.0))
+        conn.set_node_active(2, False)
+        assert conn.nodes() is first
+        assert first == frozenset({0, 1, 2, 3})
+
 
 class TestExplicitConnectivity:
     def build(self):

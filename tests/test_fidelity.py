@@ -1,4 +1,4 @@
-"""Tests for the engine-tier subsystem: registry, slotted mesh tier,
+"""Tests for the engine tiers: the slotted mesh tier, the fidelity axis,
 cross-tier sweeps and the validate-fidelity harness.
 
 The contracts pinned here are the ones the fidelity axis rests on:
@@ -13,8 +13,6 @@ import random
 
 import pytest
 
-import repro.experiments.meshgen  # noqa: F401  (registers the engine tiers)
-import repro.sim.tiers as tiers_mod
 from repro.analysis.activation import activation_distribution, successful_links
 from repro.experiments.specs import catalogue, get_spec
 from repro.results import (
@@ -26,7 +24,6 @@ from repro.results import (
     validate_fidelity,
 )
 from repro.results.types import canonical_result_dict
-from repro.sim import EngineTier, UnknownTierError, get_tier, register_tier_entry
 from repro.sim.slotted import SlottedFlow, SlottedMesh, sample_transmitters
 
 
@@ -157,35 +154,6 @@ class TestSlottedMeshDeterminism:
         assert flow_a.lost == flow_b.lost
         assert observed.backlog() == silent.backlog()
         assert observed.cw == silent.cw
-
-
-class TestTierRegistry:
-    def test_unknown_fidelity_lists_known(self):
-        with pytest.raises(UnknownTierError) as excinfo:
-            get_tier("warp-speed")
-        assert "warp-speed" in str(excinfo.value)
-        assert isinstance(excinfo.value, ValueError)
-
-    def test_entry_point_must_have_module_attr_form(self):
-        with pytest.raises(ValueError):
-            register_tier_entry("broken", "no-colon-here")
-        with pytest.raises(ValueError):
-            register_tier_entry("", "mod:attr")
-
-    def test_lazy_entry_resolves_and_caches(self):
-        name = "test-lazy-tier"
-        try:
-            register_tier_entry(name, "repro.experiments.tiers:SLOTTED_TIER")
-            tier = get_tier(name)
-            assert isinstance(tier, EngineTier)
-            assert get_tier(name) is tier
-        finally:
-            tiers_mod._TIERS.pop(name, None)
-
-    def test_entry_does_not_clobber_live_tier(self):
-        live = get_tier("slotted")
-        register_tier_entry("slotted", "repro.experiments.tiers:EVENT_TIER")
-        assert get_tier("slotted") is live
 
 
 class TestFidelityAxis:

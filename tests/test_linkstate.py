@@ -10,6 +10,7 @@ from repro.phy.linkstate import (
     GilbertElliottLoss,
     LossSpec,
     LossSpecError,
+    LinkModels,
     apply_loss_models,
     link_stream_name,
     parse_loss_spec,
@@ -226,13 +227,36 @@ class TestApplyLossModels:
         from repro.topology.meshgen import MeshSpec, build_mesh_network
 
         network, _topo = build_mesh_network(MeshSpec(kind="grid", nodes=9, seed=1))
-        count = apply_loss_models(network, "iid:0.1")
+        count = apply_loss_models(
+            network.channel, network.connectivity, "iid:0.1", network.rng
+        )
         directed_rx = sum(
             len(network.connectivity.receivers_of(n))
             for n in network.connectivity.nodes()
         )
         assert count == directed_rx
         assert len(network.channel._link_models) == directed_rx
+
+    def test_link_table_gets_the_channels_configuration(self):
+        # One installer serves both tiers: the slotted tier's bare table
+        # must receive the same links, each on the same stream.
+        from repro.topology.meshgen import MeshSpec, build_mesh_network
+
+        network, _topo = build_mesh_network(MeshSpec(kind="grid", nodes=9, seed=1))
+        conn = network.connectivity
+        table = LinkModels()
+        count = apply_loss_models(table, conn, "ge:0.3:0.3", RngRegistry(1))
+        assert count == apply_loss_models(
+            network.channel, conn, "ge:0.3:0.3", network.rng
+        )
+        assert set(table) == set(network.channel._link_models)
+        for (sender, receiver), model in table.items():
+            assert table.link_model(sender, receiver) is model
+            twin = network.channel.link_model(sender, receiver)
+            assert [model.erased() for _ in range(20)] == [
+                twin.erased() for _ in range(20)
+            ]
+        assert apply_loss_models(table, conn, "ge:0.3:0.3", RngRegistry(1)) == 0
 
     def test_zero_probability_models_do_not_change_results(self):
         from repro.experiments import meshgen

@@ -51,11 +51,10 @@ class TestSpecs:
             assert declared == actual, f"{spec.id}: {declared} != {actual}"
             for param in spec.params:
                 default = signature.parameters[param.name].default
-                if isinstance(default, (int, float, tuple)):
-                    assert param.default == default, (
-                        f"{spec.id}.{param.name}: declared {param.default!r}, "
-                        f"signature has {default!r}"
-                    )
+                assert param.default == default, (
+                    f"{spec.id}.{param.name}: declared {param.default!r}, "
+                    f"signature has {default!r}"
+                )
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(UnknownParameterError):
