@@ -92,13 +92,6 @@ class MeshScenarioIR:
     loss_spec: Optional[LossSpec]
     churn_schedule: Optional[ChurnSchedule]
 
-    def describe(self) -> str:
-        """The harness description line (tier-independent)."""
-        return (
-            f"generated {self.topology} ({self.nodes} nodes) under "
-            f"{self.workload} workload, algorithm {self.algorithm}"
-        )
-
 
 def sample_flow_sources(topology: MeshTopology, count: int, rng) -> List[Hashable]:
     """Pick ``count`` distinct non-gateway source nodes, seeded.
@@ -152,7 +145,11 @@ def _render(
         parameters["churn"] = ir.churn
     if ir.fidelity != "event":
         parameters["fidelity"] = ir.fidelity
-    result = ExperimentResult("meshgen", ir.describe(), parameters=parameters)
+    description = (
+        f"generated {ir.topology} ({ir.nodes} nodes) under "
+        f"{ir.workload} workload, algorithm {ir.algorithm}"
+    )
+    result = ExperimentResult("meshgen", description, parameters=parameters)
 
     shape = result.table(
         "Topology",
@@ -268,7 +265,9 @@ def run_event(ir: MeshScenarioIR) -> ExperimentResult:
         apply_penalty(network.nodes, sources=set(sources), q=PENALTY_Q)
 
     if ir.loss_spec is not None:
-        apply_loss_models(network.channel, network.connectivity, ir.loss_spec, network.rng)
+        apply_loss_models(
+            network.channel, network.connectivity, ir.loss_spec, network.rng
+        )
     churn_driver = None
     if ir.churn_schedule is not None:
         # The driver carries the loss spec so reception edges created by
@@ -321,9 +320,10 @@ def run_event(ir: MeshScenarioIR) -> ExperimentResult:
             delivered = item.driver.delivered_in_order
             generated += item.driver.retransmissions
         delay = flow.mean_path_delay_s(start, end)
-        flows.append(
-            (str(flow.flow_id), item.kind, flow.src, flow.dst, goodput, delay, generated, delivered)
-        )
+        flows.append((
+            str(flow.flow_id), item.kind, flow.src, flow.dst,
+            goodput, delay, generated, delivered,
+        ))
 
     result = _render(
         ir,
@@ -531,10 +531,13 @@ def run_slotted(ir: MeshScenarioIR) -> ExperimentResult:
         # End-to-end delay by Little's law: mean in-network packets
         # over the window divided by the delivery rate.
         mean_in_flight = window_mean(flow_samples[flow.flow_id])
-        delay = mean_in_flight * window_s / window_delivered if window_delivered else 0.0
-        outcomes.append(
-            (flow.flow_id, flow.kind, src, dst, goodput, delay, flow.generated, flow.delivered)
+        delay = (
+            mean_in_flight * window_s / window_delivered if window_delivered else 0.0
         )
+        outcomes.append((
+            flow.flow_id, flow.kind, src, dst,
+            goodput, delay, flow.generated, flow.delivered,
+        ))
 
     result = _render(
         ir,

@@ -6,10 +6,11 @@ Run from the repo root::
 
 The goldens pin the exact bytes of representative exports — one small
 canned figure run and four generated-topology (meshgen) runs covering
-both engine tiers and the dynamic loss/churn axes — so any change to simulator semantics, RNG draw order, or export formatting
-shows up as a byte diff in ``tests/test_golden_exports.py``. Only
-regenerate them when an *intentional* behaviour change is being made,
-and say so in the commit message.
+both engine tiers and the dynamic loss/churn axes — so any change to
+simulator semantics, RNG draw order, or export formatting shows up as
+a byte diff in ``tests/test_golden_exports.py``. Only regenerate them
+when an *intentional* behaviour change is being made, and say so in
+the commit message.
 """
 
 from __future__ import annotations

@@ -176,6 +176,12 @@ class TestFidelityAxis:
         with pytest.raises(ValueError, match="fidelity"):
             get_spec("meshgen").run(nodes=12, duration_s=2.0, fidelity="nope")
 
+    def test_unknown_fidelity_names_value_and_known_tiers(self):
+        with pytest.raises(
+            ValueError, match="unknown fidelity 'warp-speed'; known: event, slotted"
+        ):
+            get_spec("meshgen").run(fidelity="warp-speed")
+
     def test_catalogue_advertises_fidelities(self):
         data = catalogue()
         assert data["schema"] == "repro.experiments/catalogue/2"
