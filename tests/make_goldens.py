@@ -5,8 +5,9 @@ Run from the repo root::
     PYTHONPATH=src python tests/make_goldens.py
 
 The goldens pin the exact bytes of representative exports — one small
-canned figure run and four generated-topology (meshgen) runs covering
-both engine tiers and the dynamic loss/churn axes — so any change to
+canned figure run and six generated-topology (meshgen) runs covering
+both engine tiers, every adaptive slotted window rule and the dynamic
+loss/churn axes — so any change to
 simulator semantics, RNG draw order, or export formatting shows up as
 a byte diff in ``tests/test_golden_exports.py``. Only regenerate them
 when an *intentional* behaviour change is being made, and say so in
@@ -87,6 +88,42 @@ GOLDEN_RUNS = (
             "fidelity": "slotted",
         },
         "meshgen_slotted_grid25",
+    ),
+    # A 100-node slotted mesh under each adaptive window rule: about 3.5
+    # winners per slot on weighted (non-uniform) windows. Geometric maps
+    # never collide (the sense radius exceeds twice the transmit radius),
+    # so the DiffQ run adds i.i.d. loss to pin retries and exponential
+    # backoff on top of the rule's windows.
+    (
+        "meshgen",
+        {
+            "topology": "mesh",
+            "nodes": 100,
+            "density": 5.0,
+            "flows": 12,
+            "algorithm": "ezflow",
+            "duration_s": 4.0,
+            "warmup_s": 1.0,
+            "seed": 11,
+            "fidelity": "slotted",
+        },
+        "meshgen_slotted_mesh100_ezflow",
+    ),
+    (
+        "meshgen",
+        {
+            "topology": "mesh",
+            "nodes": 100,
+            "density": 5.0,
+            "flows": 12,
+            "algorithm": "diffq",
+            "loss": "iid:0.1",
+            "duration_s": 4.0,
+            "warmup_s": 1.0,
+            "seed": 11,
+            "fidelity": "slotted",
+        },
+        "meshgen_slotted_mesh100_diffq",
     ),
 )
 
