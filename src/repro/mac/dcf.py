@@ -79,8 +79,6 @@ class TxEntity:
         self.successor = successor
         self.cwmin = dcf.config.cwmin
         self.cw = self.cwmin
-        #: EDCA arbitration IFS number; 2 reproduces legacy DIFS.
-        self.aifsn = 2
         self.state = TxEntity.IDLE
         self.retries = 0
         self.slots_remaining = 0
@@ -144,13 +142,10 @@ class TxEntity:
         port = dcf._port
         if port.sensed or port.own_tx is not None:
             return
-        # current_ifs_us inlined (and eifs read from the precomputed
-        # attribute rather than through the property descriptor).
+        # current_ifs_us inlined (the IFS read from the precomputed
+        # attributes rather than through the property descriptors).
         slot = dcf._slot_us
-        if dcf._use_eifs:
-            ifs = dcf._eifs_us
-        else:
-            ifs = dcf._sifs_us + self.aifsn * slot
+        ifs = dcf._eifs_us if dcf._use_eifs else dcf._difs_us
         engine = dcf.engine
         delay = ifs + self.slots_remaining * slot
         self.backoff_started_at = engine.now + ifs
@@ -300,6 +295,7 @@ class Dcf(PhyListener):
         rates = self.config.rates
         self._sifs_us = rates.sifs_us
         self._slot_us = rates.slot_time_us
+        self._difs_us = rates._difs_us
         self._eifs_us = rates._eifs_us
         self._ack_tx_us = rates.ack_tx_time_us()
         # frame size -> airtime; data frames share a handful of sizes.
@@ -354,14 +350,10 @@ class Dcf(PhyListener):
         """
         return self._transmitting_entity is not None
 
-    def current_ifs_us(self, aifsn: int = 2) -> int:
-        """AIFS (= DIFS at AIFSN 2) normally, EIFS after a reception
-        error (802.11 rule). Per-entity AIFSN implements EDCA access
-        category priority."""
+    def current_ifs_us(self) -> int:
+        """DIFS normally, EIFS after a reception error (802.11 rule)."""
         rates = self.config.rates
-        if self._use_eifs:
-            return rates.eifs_us
-        return rates.sifs_us + aifsn * rates.slot_time_us
+        return rates.eifs_us if self._use_eifs else rates.difs_us
 
     # -- transmit path ------------------------------------------------------
 
@@ -457,13 +449,11 @@ class Dcf(PhyListener):
         if not entities:
             return
         slot = self._slot_us
-        eifs = self._eifs_us if self._use_eifs else None
-        sifs = self._sifs_us
+        ifs = self._eifs_us if self._use_eifs else self._difs_us
         engine = self.engine
         heap = engine._heap
         for entity in entities:
             if entity.state is _BACKOFF and not entity.fire_armed:
-                ifs = eifs if eifs is not None else sifs + entity.aifsn * slot
                 entity.backoff_started_at = now + ifs
                 entity._fire_gen = gen = entity._fire_gen + 1
                 entity.fire_armed = True

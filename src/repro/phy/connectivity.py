@@ -50,7 +50,9 @@ def neighbour_candidates(
     bucketed into square cells no narrower than ``radius``, so a
     partner within ``radius`` lies in the 3x3 block of cells around a
     point, and block members are screened by squared distance before
-    the exact distance is paid for. Coordinates must be finite.
+    the exact distance is paid for. That distance is :func:`distance`'s
+    ``hypot`` of the same coordinate differences, inlined: identical
+    floats without a Python call per pair. Coordinates must be finite.
     """
     if len(points) < 2:
         return
@@ -77,16 +79,16 @@ def neighbour_candidates(
     # Conservative screen: the relative slack dwarfs the few ulps by
     # which the squared sum and math.hypot can disagree.
     bound = radius * radius * (1.0 + 2.0**-40)
+    hypot = math.hypot
     for i, key in enumerate(keys):
         x, y = xs[i], ys[i]
         block = blocks[key]
-        point = points[i]
         for j in [
             j
             for j in block[bisect_right(block, i) :]
-            if (x - xs[j]) * (x - xs[j]) + (y - ys[j]) * (y - ys[j]) <= bound
+            if (dx := x - xs[j]) * dx + (dy := y - ys[j]) * dy <= bound
         ]:
-            yield i, j, distance(point, points[j])
+            yield i, j, hypot(x - xs[j], y - ys[j])
 
 
 class ConnectivityMap:
@@ -172,8 +174,6 @@ class GeometricConnectivity(ConnectivityMap):
         self.ranges = ranges
         self.epoch = 0
         self._down: Set[NodeId] = set()
-        self._rx: Dict[NodeId, FrozenSet[NodeId]] = {}
-        self._sense: Dict[NodeId, FrozenSet[NodeId]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -181,30 +181,36 @@ class GeometricConnectivity(ConnectivityMap):
 
         :func:`neighbour_candidates` yields each unordered pair that may
         lie within sensing range once (distance is symmetric: identical
-        IEEE arithmetic both ways), and :attr:`ranges` decides both
-        relations on the exact distance, recording each in both
-        directions. Pairs arrive in the all-pairs scan's (i, j) order,
-        so every set receives its members in the same order and every
-        frozenset iterates as a full N^2 scan would build it — channel
-        plans, BFS and slotted contention all iterate these sets.
+        IEEE arithmetic both ways), and both relations are decided on
+        the exact distance with :attr:`ranges`' inclusive radius tests
+        (``RangeModel.can_sense``/``can_receive``, inlined), recording
+        each edge in both directions. Pairs arrive in the all-pairs
+        scan's (i, j) order, so every set receives its members in the
+        same order and every frozenset iterates as a full N^2 scan
+        would build it — channel plans, BFS and slotted contention all
+        iterate these sets.
         """
         ids = list(self.positions)
-        can_receive = self.ranges.can_receive
-        can_sense = self.ranges.can_sense
-        rx: Dict[NodeId, Set[NodeId]] = {a: set() for a in ids}
-        sense: Dict[NodeId, Set[NodeId]] = {a: set() for a in ids}
-        points = list(self.positions.values())
-        for i, j, d in neighbour_candidates(points, self.ranges.sense_range_m):
-            if can_sense(d):
+        sense_range = self.ranges.sense_range_m
+        tx_range = self.ranges.tx_range_m
+        rx = [set() for _ in ids]
+        sense = [set() for _ in ids]
+        # Bound adders by position index: a list index per endpoint
+        # instead of a dict lookup and an attribute fetch.
+        rx_add = [members.add for members in rx]
+        sense_add = [members.add for members in sense]
+        for i, j, d in neighbour_candidates(list(self.positions.values()), sense_range):
+            if d <= sense_range:
                 a, b = ids[i], ids[j]
-                sense[a].add(b)
-                sense[b].add(a)
-                if can_receive(d):
-                    rx[a].add(b)
-                    rx[b].add(a)
-        for a in ids:
-            self._rx[a] = frozenset(rx[a])
-            self._sense[a] = frozenset(sense[a])
+                sense_add[i](b)
+                sense_add[j](a)
+                if d <= tx_range:
+                    rx_add[i](b)
+                    rx_add[j](a)
+        self._rx: Dict[NodeId, FrozenSet[NodeId]] = dict(zip(ids, map(frozenset, rx)))
+        self._sense: Dict[NodeId, FrozenSet[NodeId]] = dict(
+            zip(ids, map(frozenset, sense))
+        )
 
     # -- mutation API (churn / mobility) --------------------------------
 

@@ -19,7 +19,8 @@ pieces are generalised from chains to arbitrary connectivity maps:
   :class:`FixedCw` (standard 802.11 / static penalty assignments),
   :class:`EZFlowCw` (double above ``b_max``, halve below ``b_min`` on
   the successor backlog, Eq. 2), :class:`DiffQCw` (window class from
-  the differential backlog).
+  the differential backlog). The adaptive rules revisit only the nodes
+  a slot's queue moves can change, so a slot costs what moved in it.
 * :class:`SlottedMesh` — the per-node random walk: workload injection,
   one contention phase, link outcomes (a transmission ``u -> v``
   succeeds iff ``v`` decodes ``u`` and no *other* transmitter is
@@ -41,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, filterfalse
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 NodeId = Hashable
@@ -80,9 +81,27 @@ def sample_transmitters(
     rounds), so ``bisect`` over the grid reduces to
     ``min(floor(random()*n), n-1)`` exactly.
     """
-    ordered = sorted(contenders)
+    weight = None if cw is None else {node: 1.0 / cw[node] for node in contenders}
+    return _draw_transmitters(sorted(contenders), weight, defer_of, rng)
+
+
+def _draw_transmitters(
+    ordered: List[NodeId],
+    weight: Optional[Dict[NodeId, float]],
+    defer_of: Callable[[NodeId], object],
+    rng,
+) -> List[NodeId]:
+    """:func:`sample_transmitters` on sorted contenders and ready weights.
+
+    ``weight`` maps node -> ``1.0 / window`` (or is ``None`` for the
+    uniform fast path); ``ordered`` is consumed. Each round's
+    cumulative weights, winner removal and deferral filter run at C
+    level (``map``/``accumulate``, ``list.pop``, ``filterfalse``), so a
+    round costs no Python bytecode per remaining contender. Filtering
+    keeps the list sorted — no re-sort per winner.
+    """
     transmitters: List[NodeId] = []
-    if cw is None:
+    if weight is None:
         while ordered:
             n = len(ordered)
             if n == 1:
@@ -90,31 +109,21 @@ def sample_transmitters(
                 transmitters.append(ordered[0])
                 break
             index = int(rng.random() * n)
-            winner = ordered[index if index < n else n - 1]
+            winner = ordered.pop(index if index < n else n - 1)
             transmitters.append(winner)
-            deferring = defer_of(winner)
-            # Filtering keeps the list sorted — no re-sort per winner.
-            ordered = [
-                other
-                for other in ordered
-                if other != winner and other not in deferring
-            ]
+            ordered = list(filterfalse(defer_of(winner).__contains__, ordered))
         return transmitters
+    weight_of = weight.__getitem__
     while ordered:
-        if len(ordered) == 1:
+        n = len(ordered)
+        if n == 1:
             rng.random()  # consume the draw the weighted pick would
             transmitters.append(ordered[0])
             break
-        cum = list(accumulate([1.0 / cw[node] for node in ordered]))
-        winner = ordered[
-            bisect(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)
-        ]
+        cum = list(accumulate(map(weight_of, ordered)))
+        winner = ordered.pop(bisect(cum, rng.random() * (cum[-1] + 0.0), 0, n - 1))
         transmitters.append(winner)
-        deferring = defer_of(winner)
-        # Filtering keeps the list sorted — no re-sort per winner.
-        ordered = [
-            other for other in ordered if other != winner and other not in deferring
-        ]
+        ordered = list(filterfalse(defer_of(winner).__contains__, ordered))
     return transmitters
 
 
@@ -125,25 +134,70 @@ class FixedCw:
     """Windows never adapt (standard 802.11, and the static penalty
     strategy once the initial per-node assignment encodes it).
 
-    Every rule's ``update(cw, queues, successors)`` runs once per slot:
-    ``queues`` maps each node to its FIFO (rules read only its
-    ``len``, and only for the nodes they visit) and ``successors`` maps
-    each forwarding node to its next hops.
+    A rule serves one :class:`SlottedMesh`. The mesh hands it each new
+    successor map (``set_routes``: every forwarding node -> its next
+    hops) and, once per slot, calls ``update(cw, queues, moved)``:
+    ``queues`` maps each node to its FIFO (rules read only its ``len``)
+    and ``moved`` lists the nodes whose queue was pushed or popped in
+    the slot. ``update`` rewrites ``cw`` in place and returns the nodes
+    whose window it changed.
     """
 
     #: Static rules let the mesh skip the per-slot rule call.
     adapts = False
 
-    def update(
-        self,
-        cw: Dict[NodeId, int],
-        queues: Dict[NodeId, deque],
-        successors: Dict[NodeId, Tuple[NodeId, ...]],
-    ) -> None:
+    def set_routes(self, successors: Dict[NodeId, Tuple[NodeId, ...]]) -> None:
+        """Nothing to index."""
+
+    def update(self, cw, queues, moved) -> Sequence[NodeId]:
         """No-op."""
+        return ()
 
 
-class EZFlowCw:
+class _BacklogRule:
+    """Bookkeeping shared by the adaptive rules: which nodes to visit.
+
+    A routed node's window is a function of the queues it reads (its
+    successors', plus its own when :attr:`reads_own_queue`) and, for a
+    stateful rule, of its current window. So a slot can only change
+    the readers of a queue that moved, plus — for EZ-flow, whose step
+    from a window depends on that window — the nodes whose window
+    changed last slot. Visiting only those gives the windows a full
+    visit would, in the same slot: every other node's rule application
+    is a no-op, as it was when it was last visited. ``set_routes``
+    indexes the readers of every queue and schedules a full visit.
+    """
+
+    adapts = True
+    #: DiffQ's window also reads the node's own backlog.
+    reads_own_queue = False
+
+    def set_routes(self, successors: Dict[NodeId, Tuple[NodeId, ...]]) -> None:
+        """Index each queue's readers; the next update visits every node."""
+        self.successors = successors
+        readers: Dict[NodeId, List[NodeId]] = {}
+        for node, nexts in successors.items():
+            if self.reads_own_queue:
+                readers.setdefault(node, []).append(node)
+            for nxt in nexts:
+                readers.setdefault(nxt, []).append(node)
+        self.readers = readers
+        self._full = True
+
+    def _to_visit(self, moved, carried):
+        """Routed nodes whose window this slot's queue moves can change."""
+        if self._full:
+            self._full = False
+            return self.successors
+        readers = self.readers
+        visit = set(carried)
+        for node in moved:
+            if node in readers:
+                visit.update(readers[node])
+        return visit
+
+
+class EZFlowCw(_BacklogRule):
     """Eq. (2) on graphs: react to the *successor's* aggregate backlog.
 
     A node with several next hops (multiple flows, multiple gateways)
@@ -165,18 +219,36 @@ class EZFlowCw:
         self.b_max = b_max
         self.mincw = mincw
         self.maxcw = maxcw
+        self.set_routes({})
+        self._changed: List[NodeId] = []
 
-    def update(self, cw, queues, successors) -> None:
+    def update(self, cw, queues, moved) -> List[NodeId]:
         """Double/halve each node's window on its worst successor backlog."""
-        for node, nexts in successors.items():
-            b_next = max([len(queues[nxt]) for nxt in nexts])
+        successors = self.successors
+        changed: List[NodeId] = []
+        for node in self._to_visit(moved, self._changed):
+            nexts = successors[node]
+            # Most relays forward to one next hop: skip max()'s setup.
+            b_next = (
+                len(queues[nexts[0]])
+                if len(nexts) == 1
+                else max([len(queues[nxt]) for nxt in nexts])
+            )
+            window = cw[node]
             if b_next > self.b_max:
-                cw[node] = min(cw[node] * 2, self.maxcw)
+                new = min(window * 2, self.maxcw)
             elif b_next < self.b_min:
-                cw[node] = max(cw[node] // 2, self.mincw)
+                new = max(window // 2, self.mincw)
+            else:
+                continue
+            if new != window:
+                cw[node] = new
+                changed.append(node)
+        self._changed = changed
+        return changed
 
 
-class DiffQCw:
+class DiffQCw(_BacklogRule):
     """Differential-backlog window classes (the DiffQ baseline).
 
     ``cwmin_for(differential)`` is the class lookup —
@@ -185,14 +257,28 @@ class DiffQCw:
     successor (the link a backpressure scheduler would pick).
     """
 
+    reads_own_queue = True
+
     def __init__(self, cwmin_for: Callable[[float], int]):
         self.cwmin_for = cwmin_for
+        self.set_routes({})
 
-    def update(self, cw, queues, successors) -> None:
+    def update(self, cw, queues, moved) -> List[NodeId]:
         """Set each node's window from its differential-backlog class."""
-        for node, nexts in successors.items():
-            drop = len(queues[node]) - min([len(queues[nxt]) for nxt in nexts])
-            cw[node] = self.cwmin_for(drop)
+        successors = self.successors
+        changed: List[NodeId] = []
+        for node in self._to_visit(moved, ()):
+            nexts = successors[node]
+            least = (
+                len(queues[nexts[0]])
+                if len(nexts) == 1
+                else min([len(queues[nxt]) for nxt in nexts])
+            )
+            window = self.cwmin_for(len(queues[node]) - least)
+            if window != cw[node]:
+                cw[node] = window
+                changed.append(node)
+        return changed
 
 
 # -- flows ----------------------------------------------------------------
@@ -367,10 +453,14 @@ class SlottedMesh:
             self.cw.update(initial_cw)
         #: Consecutive failed attempts for the head packet, per node.
         self.retries: Dict[NodeId, int] = {node: 0 for node in self._nodes}
-        #: Nodes currently in exponential backoff (retries > 0) — when
-        #: empty, the effective windows ARE the base windows and the
-        #: per-slot BEB adjustment is skipped wholesale.
+        #: Nodes currently in exponential backoff (retries > 0).
         self._backoff: set = set()
+        #: node -> ``1.0 / effective window``, the winner draw's weight.
+        #: Refreshed (:meth:`_reweigh`) only where a base window or a
+        #: retry count changes, so a slot pays for what moved in it.
+        self._weight: Dict[NodeId, float] = {
+            node: 1.0 / window for node, window in self.cw.items()
+        }
         self.dropped = 0
         #: FIFO of flow indexes, one entry per queued packet.
         self.queues: Dict[NodeId, deque] = {node: deque() for node in self._nodes}
@@ -381,9 +471,9 @@ class SlottedMesh:
         #: the backlogged-node count).
         self._planned: Dict[NodeId, Tuple[int, NodeId]] = {}
         #: Static rules (FixedCw) skip the per-slot rule call.
-        self._adaptive = getattr(self.rule, "adapts", True)
+        self._adaptive = self.rule.adapts
         #: Every window stays at the (power-of-two) default forever:
-        #: contention can take the exact uniform-draw fast path in
+        #: contention can take the exact uniform-draw fast path of
         #: :func:`sample_transmitters` whenever nobody is in backoff.
         self._uniform_cw = (
             not self._adaptive
@@ -455,6 +545,7 @@ class SlottedMesh:
         self.successors = {
             node: tuple(sorted(nxts)) for node, nxts in sorted(successors.items())
         }
+        self.rule.set_routes(self.successors)
 
     def backlog(self) -> Dict[NodeId, int]:
         """Aggregate queued packets per node (all flows)."""
@@ -468,10 +559,17 @@ class SlottedMesh:
                 counts[self.flows[index].flow_id] += 1
         return counts
 
-    def _next_hop(self, node: NodeId, flow: SlottedFlow) -> Optional[NodeId]:
-        if node == flow.dst:
-            return None
-        return self.parents.get(flow.dst, {}).get(node)
+    def _reweigh(self, node: NodeId) -> None:
+        """Refresh ``node``'s weight after its base window or retries moved.
+
+        The effective window is the rule-set base doubled per
+        consecutive failure (binary exponential backoff), capped at
+        ``cwmax`` — bases the rules already pushed above ``cwmax``
+        (EZ-flow throttling) stay where the rule put them.
+        """
+        base = self.cw[node]
+        effective = min(base << self.retries[node], max(self.cwmax, base))
+        self._weight[node] = 1.0 / effective
 
     def step(self, record: bool = True) -> Optional[SlotOutcome]:
         """Inject, contend, resolve links, recurse buffers, adapt cw.
@@ -486,6 +584,8 @@ class SlottedMesh:
         flows = self.flows
         planned = self._planned
         trees = self._trees
+        # Nodes whose queue was pushed or popped this slot (the rule's input).
+        moved: List[NodeId] = []
         for index, flow in enumerate(flows):
             count = flow.inject(now_s)
             if count:
@@ -499,6 +599,7 @@ class SlottedMesh:
                     count = admitted
                 if count > 0:
                     queue.extend([index] * count)
+                    moved.append(flow.src)
                     if fresh:
                         next_hop = trees[index].get(flow.src)
                         if next_hop is not None:
@@ -514,27 +615,15 @@ class SlottedMesh:
                 node: entry for node, entry in planned.items() if is_active(node)
             }
 
-        # Contention runs on the *effective* windows: the rule-set base
-        # doubled per consecutive failure (binary exponential backoff),
-        # capped at cwmax — bases the rules already pushed above cwmax
-        # (EZ-flow throttling) stay where the rule put them. With no
+        # Contention runs on the effective windows' weights; with no
         # node in backoff the effective windows ARE the base windows.
-        cw = self.cw
-        retries = self.retries
         backoff = self._backoff
-        if backoff:
-            cwmax = self.cwmax
-            effective = {
-                node: (
-                    cw[node]
-                    if node not in backoff
-                    else min(cw[node] << retries[node], max(cwmax, cw[node]))
-                )
-                for node in contenders
-            }
-        else:
-            effective = None if self._uniform_cw else cw
-        transmitters = sample_transmitters(contenders, effective, self.defer_of, self.rng)
+        transmitters = _draw_transmitters(
+            sorted(contenders),
+            None if self._uniform_cw and not backoff else self._weight,
+            self.defer_of,
+            self.rng,
+        )
         receivers_of = self.connectivity.receivers_of
 
         # Link outcomes against the frozen transmitter set, then the
@@ -548,6 +637,7 @@ class SlottedMesh:
             senders_received_at = self.connectivity.senders_received_at
         loss_of = self.loss
         static = self._static
+        retries = self.retries
         successes: List[Tuple[NodeId, NodeId, str]] = []
         delivered: List[str] = []
         for sender in transmitters:
@@ -575,6 +665,7 @@ class SlottedMesh:
                     # DCF discard: the head packet exhausted its retries.
                     queue = queues[sender]
                     queue.popleft()
+                    moved.append(sender)
                     if queue:
                         new_head = queue[0]
                         new_hop = trees[new_head].get(sender)
@@ -588,12 +679,15 @@ class SlottedMesh:
                     backoff.discard(sender)
                     self.dropped += 1
                     flow.lost += 1
+                self._reweigh(sender)
                 continue
-            if backoff:
+            if sender in backoff:
                 retries[sender] = 0
                 backoff.discard(sender)
+                self._reweigh(sender)
             queue = queues[sender]
             queue.popleft()
+            moved.append(sender)
             if queue:
                 new_head = queue[0]
                 new_hop = trees[new_head].get(sender)
@@ -622,9 +716,11 @@ class SlottedMesh:
                     if next_hop is not None:
                         planned[receiver] = (head, next_hop)
                 relay_queue.append(head)
+                moved.append(receiver)
 
         if self._adaptive:
-            self.rule.update(cw, queues, self.successors)
+            for node in self.rule.update(self.cw, queues, moved):
+                self._reweigh(node)
         self.slot += 1
         if not record:
             return None

@@ -169,19 +169,20 @@ def _mesh_positions(
     stream = rng.stream(f"topology.meshgen.{spec.seed}")
     side = spec.tx_range_m * math.sqrt(spec.nodes / spec.density)
     ranges = RangeModel(spec.tx_range_m, spec.sense_range_m)
-    can_receive = ranges.can_receive
+    tx_range = ranges.tx_range_m
     count = spec.nodes
     for attempt in range(1, spec.max_attempts + 1):
         points = [
             (stream.uniform(0.0, side), stream.uniform(0.0, side))
             for _ in range(count)
         ]
-        # The same `distance`/`can_receive` predicates decide every edge
-        # as in the full map, so acceptance decisions (and with them the
-        # RNG stream) are bit-identical to validating via the full map.
+        # The same exact distance and inclusive transmit-radius test
+        # decide every edge as in the full map, so acceptance decisions
+        # (and with them the RNG stream) are bit-identical to validating
+        # via the full map.
         adjacency: List[List[int]] = [[] for _ in range(count)]
-        for a, b, d in neighbour_candidates(points, ranges.tx_range_m):
-            if can_receive(d):
+        for a, b, d in neighbour_candidates(points, tx_range):
+            if d <= tx_range:
                 adjacency[a].append(b)
                 adjacency[b].append(a)
         seen = [False] * count

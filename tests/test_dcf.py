@@ -210,21 +210,3 @@ class TestMultiEntity:
         e2 = macs[1].add_entity("b", FifoQueue(), successor=2)
         e1.set_cwmin(64)
         assert e2.effective_cwmin() == 16
-
-    def test_larger_aifsn_defers_longer_and_loses_airtime(self):
-        # Per-entity AIFSN (802.11e's other contention parameter): at
-        # equal CWmin, the queue waiting 5 more slots per access loses.
-        engine, channel, macs = make_pair(seed=3, count=3)
-        tx = macs[1]
-        assert tx.current_ifs_us(7) > tx.current_ifs_us(2)
-        q_fast, q_slow = FifoQueue(capacity=1000), FifoQueue(capacity=1000)
-        e_fast = tx.add_entity("fast", q_fast, successor=0)
-        e_slow = tx.add_entity("slow", q_slow, successor=2)
-        e_slow.aifsn = 7
-        for seq in range(400):
-            q_fast.push(Packet(flow_id="A", seq=seq, src=1, dst=0))
-            q_slow.push(Packet(flow_id="B", seq=seq, src=1, dst=2))
-        e_fast.notify_enqueue()
-        e_slow.notify_enqueue()
-        engine.run(until=2_000_000)
-        assert e_fast.tx_successes > 2 * e_slow.tx_successes

@@ -4,9 +4,10 @@ cross-tier sweeps and the validate-fidelity harness.
 The contracts pinned here are the ones the fidelity axis rests on:
 the winner process consumes the exact ``rng.choices`` draw sequence
 (uniform fast path included), the slotted mesh is deterministic and
-parallel-safe, ``fidelity=event`` changes no exported bytes, and the
-validation report's pairing/tolerance logic fails loudly instead of
-silently mis-pairing.
+parallel-safe, its incrementally kept windows and contention weights
+equal a full recompute after every slot, ``fidelity=event`` changes no
+exported bytes, and the validation report's pairing/tolerance logic
+fails loudly instead of silently mis-pairing.
 """
 
 import random
@@ -24,7 +25,13 @@ from repro.results import (
     validate_fidelity,
 )
 from repro.results.types import canonical_result_dict
-from repro.sim.slotted import SlottedFlow, SlottedMesh, sample_transmitters
+from repro.sim.slotted import (
+    DiffQCw,
+    EZFlowCw,
+    SlottedFlow,
+    SlottedMesh,
+    sample_transmitters,
+)
 
 
 def _choices_reference(contenders, cw, defer_of, rng):
@@ -154,6 +161,144 @@ class TestSlottedMeshDeterminism:
         assert flow_a.lost == flow_b.lost
         assert observed.backlog() == silent.backlog()
         assert observed.cw == silent.cw
+
+
+def _ezflow_full_visit(rule, cw, queues, successors):
+    """EZFlowCw's update as a visit of every routed node (the reference)."""
+    for node, nexts in successors.items():
+        b_next = max([len(queues[nxt]) for nxt in nexts])
+        if b_next > rule.b_max:
+            cw[node] = min(cw[node] * 2, rule.maxcw)
+        elif b_next < rule.b_min:
+            cw[node] = max(cw[node] // 2, rule.mincw)
+
+
+def _diffq_full_visit(rule, cw, queues, successors):
+    """DiffQCw's update as a visit of every routed node (the reference)."""
+    for node, nexts in successors.items():
+        drop = len(queues[node]) - min([len(queues[nxt]) for nxt in nexts])
+        cw[node] = rule.cwmin_for(drop)
+
+
+FULL_VISITS = {EZFlowCw: _ezflow_full_visit, DiffQCw: _diffq_full_visit}
+
+
+class _CheckedMesh(SlottedMesh):
+    """A mesh that checks its incremental state after every slot.
+
+    The windows must equal a shadow copy driven by the full-visit
+    reference rule over the same queues, and every kept contention
+    weight must equal ``1.0 / effective window``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reference_cw = dict(self.cw)
+        self.route_installs = 0
+        self.window_changes = 0
+        self.backoff_slots = 0
+
+    def set_routes(self, parents):
+        super().set_routes(parents)
+        self.route_installs += 1
+
+    def step(self, record=True):
+        before = dict(self.cw)
+        outcome = super().step(record)
+        full_visit = FULL_VISITS.get(type(self.rule))
+        if full_visit is not None:
+            full_visit(self.rule, self.reference_cw, self.queues, self.successors)
+        assert self.cw == self.reference_cw, f"windows diverge in slot {self.slot - 1}"
+        self.window_changes += self.cw != before
+        self.backoff_slots += any(self.retries.values())
+        for node, weight in self._weight.items():
+            base, retries = self.cw[node], self.retries[node]
+            effective = min(base << retries, max(self.cwmax, base)) if retries else base
+            assert weight == 1.0 / effective, f"stale weight of {node!r}"
+        return outcome
+
+
+def _run_slotted(monkeypatch, mesh_class, **kwargs):
+    """Run one slotted meshgen scenario on ``mesh_class``; return its mesh."""
+    import repro.experiments.tiers as tiers
+
+    built = []
+
+    class Recorded(mesh_class):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            built.append(self)
+
+    monkeypatch.setattr(tiers, "SlottedMesh", Recorded)
+    get_spec("meshgen").run(fidelity="slotted", **kwargs)
+    (mesh,) = built
+    return mesh
+
+
+class TestIncrementalRules:
+    """Window rules visit only what a slot moved; weights follow the windows."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("algorithm", ["ezflow", "diffq", "penalty", "none"])
+    def test_windows_and_weights_match_full_visit(self, monkeypatch, algorithm, seed):
+        mesh = _run_slotted(
+            monkeypatch,
+            _CheckedMesh,
+            topology="mesh",
+            nodes=36,
+            density=3.0,
+            flows=8,
+            algorithm=algorithm,
+            loss="iid:0.2",
+            churn="down:5@1+move:7@1.5:40:40+up:5@2",
+            duration_s=3.0,
+            warmup_s=1.0,
+            seed=seed,
+        )
+        assert mesh.slot > 100
+        # The initial routes plus one reroute per churn batch.
+        assert mesh.route_installs == 4
+        assert mesh.backoff_slots > 0
+        if algorithm in ("ezflow", "diffq"):
+            assert mesh.window_changes > 0
+
+    def test_ezflow_visits_follow_queue_moves(self, monkeypatch):
+        """A 1000-node EZ-flow run visits at most 40% of a full visit.
+
+        Each visit reads every successor queue of the visited node once,
+        so successor-queue reads count visits, and a full visit of every
+        routed node each slot reads ``slots * routed edges`` of them.
+        """
+        import repro.experiments.tiers as tiers
+
+        reads = 0
+
+        class CountingQueues(dict):
+            def __getitem__(self, node):
+                nonlocal reads
+                reads += 1
+                return dict.__getitem__(self, node)
+
+        class CountingEZFlowCw(EZFlowCw):
+            def update(self, cw, queues, *rest):
+                return super().update(cw, CountingQueues(queues), *rest)
+
+        monkeypatch.setattr(tiers, "EZFlowCw", CountingEZFlowCw)
+        mesh = _run_slotted(
+            monkeypatch,
+            SlottedMesh,
+            topology="mesh",
+            nodes=1000,
+            density=5.0,
+            flows=40,
+            algorithm="ezflow",
+            duration_s=4.0,
+            warmup_s=1.0,
+            seed=1,
+        )
+        routed_edges = sum(len(nexts) for nexts in mesh.successors.values())
+        assert mesh.slot > 0 and routed_edges > 100
+        assert 0 < reads <= 0.4 * routed_edges * mesh.slot
 
 
 class TestFidelityAxis:

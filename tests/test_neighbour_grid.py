@@ -230,18 +230,21 @@ def test_generation_cost_scales_with_neighbours(monkeypatch):
     """Exact distance evaluations stay far below the all-pairs count.
 
     Both all-pairs scans (placement probe, then the full map) made
-    2 * n(n-1)/2 evaluations; the cell grid makes about one per pair
-    within range.
+    2 * n(n-1)/2 evaluations; the cell grid measures about one
+    candidate pair per pair within range. The exact distance is
+    inlined in :func:`neighbour_candidates`, so the pairs it yields
+    to either scan are counted.
     """
     calls = 0
 
-    def counting_distance(a, b):
+    def counting_candidates(points, radius):
         nonlocal calls
-        calls += 1
-        return distance(a, b)
+        for pair in neighbour_candidates(points, radius):
+            calls += 1
+            yield pair
 
-    monkeypatch.setattr(connectivity_module, "distance", counting_distance)
-    monkeypatch.setattr(meshgen_module, "distance", counting_distance)
+    for module in (connectivity_module, meshgen_module):
+        monkeypatch.setattr(module, "neighbour_candidates", counting_candidates)
     nodes = 2000
     topology = generate_topology(MeshSpec(kind="mesh", nodes=nodes, density=5.0, seed=3))
     conn = topology.connectivity
