@@ -4,8 +4,10 @@ Run from the repo root::
 
     PYTHONPATH=src python tests/make_goldens.py
 
-The goldens pin the exact bytes of representative exports — one small
-canned figure run and six generated-topology (meshgen) runs covering
+The goldens pin the exact bytes of representative exports — four short
+paper harness runs (the saturated Figure 1 chain, the CBR testbed of
+Table 2, the scenario 2 schedule with its EZ-flow window series, and a
+CBR load sweep) and seven generated-topology (meshgen) runs covering
 both engine tiers, every adaptive slotted window rule and the dynamic
 loss/churn axes — so any change to
 simulator semantics, RNG draw order, or export formatting shows up as
@@ -28,6 +30,18 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "goldens")
 #: transport's cancellable timers.
 GOLDEN_RUNS = (
     ("fig1", {"duration_s": 40.0, "warmup_s": 10.0}, "fig1_short"),
+    # The CBR paper paths: the testbed runs Figure 4 shares through
+    # testbedlab (saturating 2 Mb/s sources, EZ-flow, the parking lot),
+    # scenario 2's Figure 11 window series read back from the trace, and
+    # the 4-hop chain driven below and above capacity, so both the
+    # enqueue and the full-queue refusal of a CBR tick are pinned.
+    ("table2", {"duration_s": 20.0, "warmup_s": 5.0}, "table2_short"),
+    ("scenario2", {"time_scale": 0.004}, "scenario2_short"),
+    (
+        "loadsweep",
+        {"duration_s": 20.0, "warmup_s": 5.0, "loads_kbps": (100.0, 2000.0)},
+        "loadsweep_short",
+    ),
     (
         "meshgen",
         {
