@@ -21,7 +21,7 @@ successor onto a node stack, mirroring :func:`repro.core.controller.attach_ezflo
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.boe import BufferOccupancyEstimator
 from repro.core.config import EZFlowConfig
@@ -80,6 +80,10 @@ class RateScheduler:
         if accepted:
             self._arm()
         return accepted
+
+    def notify_enqueue(self) -> None:
+        """A packet was pushed into ``upper``: arm the release clock."""
+        self._arm()
 
     def _interval_us(self) -> int:
         return max(1, int(round(US_PER_S / self.rate_pps)))
@@ -172,14 +176,20 @@ class RateEZFlowController:
         self._wrap_queues()
 
     def _wrap_queues(self) -> None:
-        """Divert the node's send path through pacers (lazily built)."""
-        original_send = self.node.send
+        """Divert local and relayed traffic through pacers (lazily built).
 
-        def paced_send(packet: Packet) -> bool:
-            next_hop = self.node.routing.next_hop(self.node.node_id, packet.dst)
-            return self._scheduler_for(next_hop).offer(packet)
+        Local traffic enters through ``NodeStack.own_queue``, which both
+        ``NodeStack.send`` and the traffic sources resolve: here it
+        yields the pacer's upper queue, with the pacer notified after
+        each push.
+        """
 
-        self.node.send = paced_send
+        def paced_own_queue(dst: NodeId) -> Tuple[FifoQueue, RateScheduler]:
+            next_hop = self.node.routing.next_hop(self.node.node_id, dst)
+            scheduler = self._scheduler_for(next_hop)
+            return scheduler.upper, scheduler
+
+        self.node.own_queue = paced_own_queue
         original_received = self.node.mac.on_data_received
 
         def paced_receive(frame: Frame, now: int) -> None:

@@ -56,7 +56,7 @@ def run(
     for window in windows:
         for ezflow in (False, True):
             network = linear_chain(
-                hops=hops, seed=seed, saturated=False, rate_bps=1000
+                hops=hops, seed=seed, saturated=False, rate_bps=1000, trace_exports=()
             )
             network.sources.clear()
             install_reverse_routes(network.routing, list(range(hops + 1)))

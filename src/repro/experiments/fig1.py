@@ -42,7 +42,12 @@ def run(
     )
     throughputs = {}
     for hops in (3, 4):
-        network = linear_chain(hops=hops, seed=seed, sense_range_m=TESTBED_SENSE_M)
+        network = linear_chain(
+            hops=hops,
+            seed=seed,
+            sense_range_m=TESTBED_SENSE_M,
+            trace_exports=("buffer.",),
+        )
         relays = list(range(1, hops))
         sampler = BufferSampler(
             network.engine, network.trace, network.nodes, relays, sample_interval_s

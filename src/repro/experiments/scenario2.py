@@ -93,7 +93,9 @@ def run(
         ["ezflow", "node", "successor", "cw"],
     )
     for ezflow in (False, True):
-        network = scenario2_network(seed=seed, time_scale=time_scale)
+        network = scenario2_network(
+            seed=seed, time_scale=time_scale, trace_exports=("ezflow.",)
+        )
         controllers = attach_ezflow(network.nodes) if ezflow else {}
         network.run(until_us=seconds(F1_STOP_S * time_scale))
         result.note_runtime(network.engine)

@@ -75,7 +75,7 @@ def testbed_simulation(
     if run is not None:
         _cache.move_to_end(key)
         return run
-    network = testbed_network(seed=seed, flows=tuple(flows))
+    network = testbed_network(seed=seed, flows=tuple(flows), trace_exports=("buffer.",))
     if ezflow:
         attach_ezflow(network.nodes)
     sampler = BufferSampler(

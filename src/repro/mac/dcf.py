@@ -79,6 +79,10 @@ class TxEntity:
         self.successor = successor
         self.cwmin = dcf.config.cwmin
         self.cw = self.cwmin
+        # Every change of state into or out of BACKOFF moves the port's
+        # count of contending entities (ChannelPort.contending), which
+        # gates the channel's busy/idle upcalls to this MAC.
+        self._port = dcf._port
         self.state = TxEntity.IDLE
         self.retries = 0
         self.slots_remaining = 0
@@ -124,6 +128,7 @@ class TxEntity:
 
     def _start_access(self) -> None:
         self.state = TxEntity.BACKOFF
+        self._port.contending += 1
         self.retries = 0
         self.cw = self.effective_cwmin()
         self._draw_backoff()
@@ -178,6 +183,7 @@ class TxEntity:
         self.slots_remaining = 0
         if self.queue.is_empty():  # pragma: no cover - defensive
             self.state = TxEntity.IDLE
+            self._port.contending -= 1
             return
         dcf = self.dcf
         port = dcf._port
@@ -190,6 +196,7 @@ class TxEntity:
             self._on_failure()
             return
         self.state = TxEntity.TX
+        port.contending -= 1
         packet = self.queue.peek()
         self.pending_frame = make_data_frame(
             self.dcf.node_id, self.successor, packet, self.dcf.next_seq()
@@ -228,16 +235,27 @@ class TxEntity:
             self._next_or_idle()
             return
         self.cw = min(self.cw * 2, self.dcf.config.cwmax)
-        self.state = TxEntity.BACKOFF
+        # A virtual collision fails the entity while still in BACKOFF;
+        # an ACK timeout fails it from TX.
+        if self.state is not _BACKOFF:
+            self.state = TxEntity.BACKOFF
+            self._port.contending += 1
         self._draw_backoff()
         self._try_resume()
 
     def _next_or_idle(self) -> None:
+        # Entered from TX (ACK, or a drop after an ACK timeout) or, after
+        # a virtual collision's drop, from BACKOFF.
+        was_backoff = self.state is _BACKOFF
         if self.queue.is_empty():
             self.state = TxEntity.IDLE
+            if was_backoff:
+                self._port.contending -= 1
         else:
             # Post-backoff before the next frame.
             self.state = TxEntity.BACKOFF
+            if not was_backoff:
+                self._port.contending += 1
             self._draw_backoff()
             self._try_resume()
 
@@ -278,10 +296,11 @@ class Dcf(PhyListener):
         self._bump_duplicates = hook("mac.duplicates")
         self._bump_ack_tx = hook("mac.ack_tx")
         self.entities: List[TxEntity] = []
-        # Channel-side busy/idle gate: alias the live entity list, so a
-        # node with no transmit queues (pure sink / bystander — most of
-        # a large mesh) costs nothing per medium transition, and starts
-        # hearing them the moment its first entity is added.
+        # Plan partition (PhyListener.medium_watchers): alias the live
+        # entity list, so a node with no transmit queues (pure sink or
+        # bystander, most of a large mesh) gets passive rows in the
+        # plans of senders it only senses. Per edge, the channel gates
+        # on the port's count of entities in BACKOFF (set to 0 below).
         self.medium_watchers = self.entities
         self._seq = 0
         self._transmitting_entity: Optional[TxEntity] = None
@@ -308,6 +327,7 @@ class Dcf(PhyListener):
         self.on_tx_success: Optional[Callable[[TxEntity, object, Frame], None]] = None
         self.on_tx_drop: Optional[Callable[[TxEntity, object], None]] = None
         self._port = channel.attach(node_id, self)
+        self._port.contending = 0
 
     # -- wiring -----------------------------------------------------------
 
@@ -327,12 +347,6 @@ class Dcf(PhyListener):
         """Allocate the next MAC sequence number of this node."""
         self._seq += 1
         return self._seq
-
-    def trace_bump(self, key: str) -> None:
-        """Increment a trace counter if tracing is enabled."""
-        trace = self.trace
-        if trace is not None:
-            trace.counters[key] += 1.0
 
     # -- medium state -----------------------------------------------------
 
@@ -445,14 +459,11 @@ class Dcf(PhyListener):
         # of _try_resume is already satisfied here; its body is inlined
         # (same arithmetic, same seq draw) with the state/armed/port
         # guards hoisted into the loop.
-        entities = self.entities
-        if not entities:
-            return
         slot = self._slot_us
         ifs = self._eifs_us if self._use_eifs else self._difs_us
         engine = self.engine
         heap = engine._heap
-        for entity in entities:
+        for entity in self.entities:
             if entity.state is _BACKOFF and not entity.fire_armed:
                 entity.backoff_started_at = now + ifs
                 entity._fire_gen = gen = entity._fire_gen + 1

@@ -106,9 +106,3 @@ class FifoQueue:
     def peek(self):
         """Return the head item without removing it."""
         return self._items[0]
-
-    def _record(self) -> None:
-        """Append the current occupancy sample (push/pop inline this)."""
-        series = self._occupancy
-        if series is not None:
-            series.append(self.engine.now, len(self._items))

@@ -180,13 +180,22 @@ class NodeStack:
 
     # -- traffic entry (source role) ---------------------------------------
 
+    def own_queue(self, dst: NodeId) -> Tuple[FifoQueue, TxEntity]:
+        """The (queue, entity) pair that carries local traffic to ``dst``.
+
+        Resolved through the routing table on first use per destination
+        (creating the queue and its MAC entity) and cached until
+        :meth:`invalidate_route_caches`.
+        """
+        target = self._own_targets.get(dst)
+        if target is None:
+            next_hop = self.routing.next_hop(self.node_id, dst)
+            target = self._own_targets[dst] = self.queue_for(OWN, next_hop)
+        return target
+
     def send(self, packet: Packet) -> bool:
         """Inject a locally generated packet; returns False when dropped."""
-        target = self._own_targets.get(packet.dst)
-        if target is None:
-            next_hop = self.routing.next_hop(self.node_id, packet.dst)
-            target = self._own_targets[packet.dst] = self.queue_for(OWN, next_hop)
-        queue, entity = target
+        queue, entity = self.own_queue(packet.dst)
         accepted = queue.push(packet)
         if accepted:
             entity.notify_enqueue()

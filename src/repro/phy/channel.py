@@ -60,16 +60,20 @@ def _drain(iterator) -> None:
 class PhyListener:
     """Callbacks a MAC entity implements to attach to the channel."""
 
-    #: Truthiness gate for busy/idle delivery. The channel checks this
-    #: *at frame time* (the plan rows alias the object, not its value):
-    #: when falsy, ``on_medium_busy``/``on_medium_idle`` are skipped for
-    #: this node. The default — an always-truthy tuple — delivers every
-    #: transition. :class:`~repro.mac.dcf.Dcf` aliases its live entity
-    #: list here, so the many pure-sink/bystander nodes of a large mesh
-    #: (no transmit queues, hence provably transition-indifferent) stop
-    #: paying a Python call per overheard frame edge; the moment a node
-    #: grows its first entity the shared list turns truthy and delivery
-    #: resumes. Reception callbacks are never gated.
+    #: Plan partition, read only when a sender's plan is built: a node
+    #: that can sense but not decode the sender, and whose watchers are
+    #: falsy then, gets a passive row, which never calls it. Rows of
+    #: nodes that can decode the sender are always active. The default,
+    #: an always-truthy tuple, makes every row active.
+    #: :class:`~repro.mac.dcf.Dcf` aliases its live entity list here and
+    #: calls :meth:`Channel.activate_listener` when it adds its first
+    #: entity, which re-partitions the plans, in-flight ones included.
+    #:
+    #: Within active rows, busy/idle edges are gated per edge by the
+    #: port's ``contending`` count (see :class:`ChannelPort`): 1 for any
+    #: listener, so every edge is delivered, while a ``Dcf`` keeps it
+    #: equal to its entities in BACKOFF, the only state in which an
+    #: edge can change anything. Reception callbacks are never gated.
     medium_watchers = (True,)
 
     def on_medium_busy(self, now: int) -> None:
@@ -117,18 +121,27 @@ class ChannelPort:
     port so a MAC can carrier-sense without going through the channel's
     dictionaries: the medium is idle iff ``not port.sensed and
     port.own_tx is None``.
+
+    ``contending`` gates the busy/idle edges delivered to the listener,
+    its own frame ends included: while it is 0 the channel skips
+    ``on_medium_busy``/``on_medium_idle``. Attaching sets it to 1, so a
+    listener that does not keep it gets every edge;
+    :class:`~repro.mac.dcf.Dcf` resets it to 0 and counts its entities
+    in BACKOFF there, because an edge changes nothing in any other
+    state.
     """
 
-    __slots__ = ("node_id", "listener", "sensed", "own_tx", "watchers")
+    __slots__ = ("node_id", "listener", "sensed", "own_tx", "watchers", "contending")
 
     def __init__(self, node_id: NodeId, listener: PhyListener):
         self.node_id = node_id
         self.listener = listener
         self.sensed: Set[Transmission] = set()
         self.own_tx: Optional[Transmission] = None
-        # Cached busy/idle gate of the listener (see
+        # Cached plan partition of the listener (see
         # PhyListener.medium_watchers); refreshed on attach.
         self.watchers = getattr(listener, "medium_watchers", (True,))
+        self.contending = 1
 
     @property
     def idle(self) -> bool:
@@ -215,6 +228,7 @@ class Channel:
         else:
             port.listener = listener
             port.watchers = getattr(listener, "medium_watchers", (True,))
+            port.contending = 1
         self._plans.clear()
         return port
 
@@ -501,7 +515,7 @@ class Channel:
                                 other_corrupted = other.corrupted_at = set()
                             other_corrupted.add(node)
                 sensed.add(tx)
-                if was_idle:
+                if was_idle and port.contending:
                     on_busy(now)
                 continue
             port, node, sensed, on_busy, kills, dies = row
@@ -533,7 +547,7 @@ class Channel:
                             corrupted = tx.corrupted_at = set()
                         corrupted.add(node)
             sensed.add(tx)
-            if was_idle:
+            if was_idle and port.contending:
                 on_busy(now)
 
         # Engine.post inlined (hot path): completion is self-scheduled.
@@ -569,7 +583,7 @@ class Channel:
                 # medium and report the idle transition.
                 port, node, sensed, on_idle = row
                 sensed.discard(tx)
-                if not sensed and port.own_tx is None:
+                if not sensed and port.own_tx is None and port.contending:
                     on_idle(now)
                 continue
             port, node, sensed, on_idle, on_rx, on_over, on_err, loss, miss = row
@@ -598,9 +612,9 @@ class Channel:
                 # decode is attempted), matching ns-2's behaviour.
                 bump_rx_error()
                 on_err(now)
-            if not sensed and port.own_tx is None:
+            if not sensed and port.own_tx is None and port.contending:
                 on_idle(now)
 
         # The sender's own view: it was busy with its own transmission.
-        if not sender_port.sensed and sender_port.own_tx is None and sender_port.watchers:
+        if not sender_port.sensed and sender_port.own_tx is None and sender_port.contending:
             sender_port.listener.on_medium_idle(now)

@@ -58,7 +58,7 @@ class OnOffSource(_SourceBase):
             mean = self.mean_on_us if self._on else self.mean_off_us
             self._phase_ends_at = now + max(1, int(self.rng.expovariate(1.0 / mean)))
         if self._on and self.flow.active_at(now):
-            self.node.send(self._make_packet())
+            self._emit()
         self.engine.post(self.interval_us, self._tick)
 
     @property

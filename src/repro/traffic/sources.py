@@ -59,6 +59,26 @@ class _SourceBase:
             created_at=self.engine.now,
         )
 
+    def _emit(self) -> None:
+        """Generate one packet into the node's own-traffic queue.
+
+        Under the paper's saturating load the queue is usually full, so
+        a refused packet is not built: its sequence number and
+        ``flow.generated`` still advance, and the refusal goes through
+        ``FifoQueue.push`` so the queue's drop counters and the node's
+        ``source_drops`` count it as before.
+        """
+        node = self.node
+        queue, entity = node.own_queue(self.flow.dst)
+        if queue.is_full():
+            self._seq += 1
+            self.flow.generated += 1
+            queue.push(None)
+            node.source_drops += 1
+        else:
+            queue.push(self._make_packet())
+            entity.notify_enqueue()
+
     def _tick(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
 
@@ -89,7 +109,7 @@ class CbrSource(_SourceBase):
             return
         # active_at(now) inlined: the stop bound is already checked.
         if now >= flow.start_us:
-            self.node.send(self._make_packet())
+            self._emit()
         engine.post(self.interval_us, self._tick)
 
 
@@ -116,7 +136,7 @@ class PoissonSource(_SourceBase):
         if self.flow.stop_us is not None and now >= self.flow.stop_us:
             return
         if self.flow.active_at(now):
-            self.node.send(self._make_packet())
+            self._emit()
         delay = max(1, int(self.rng.expovariate(1.0 / self.mean_interval_us)))
         self.engine.post(delay, self._tick)
 

@@ -3,7 +3,7 @@ interplay — the micro-mechanics the turbulence phenomena rest on."""
 
 import pytest
 
-from repro.mac.dcf import Dcf, DcfConfig
+from repro.mac.dcf import Dcf, DcfConfig, TxEntity
 from repro.mac.queues import FifoQueue
 from repro.net.packet import Packet
 from repro.phy.channel import Channel
@@ -193,3 +193,120 @@ class TestExplicitConnectivityMac:
         channel.transmit("far", F("nowhere"), 100)
         engine.run()
         assert len(received) == 1
+
+
+class TestMediumEdgeGate:
+    """Busy/idle edges reach a Dcf only while one of its entities backs off."""
+
+    @staticmethod
+    def backoffs(mac):
+        return sum(entity.state is TxEntity.BACKOFF for entity in mac.entities)
+
+    def test_dcf_with_no_entity_in_backoff_gets_no_medium_edge(self):
+        from repro.topology.linear import linear_chain
+
+        # Above capacity the source backs off most of the time, the
+        # relays fall idle between packets, and the sink (node 3) never
+        # has an entity at all.
+        network = linear_chain(hops=3, seed=2, saturated=False, rate_bps=500_000.0)
+        edges = {"busy": 0, "idle": 0}
+        idle_macs = {"busy": 0, "idle": 0}
+        resuming = set()
+        for stack in network.nodes.values():
+            mac = stack.mac
+
+            def spy(kind, original, _mac=mac):
+                def upcall(now):
+                    # The MAC's own resume after an exchange is not an upcall.
+                    if _mac not in resuming:
+                        edges[kind] += 1
+                        if not self.backoffs(_mac):
+                            idle_macs[kind] += 1
+                    original(now)
+
+                return upcall
+
+            def resume_all(_mac=mac, _original=mac._resume_all):
+                resuming.add(_mac)
+                try:
+                    _original()
+                finally:
+                    resuming.discard(_mac)
+
+            mac.on_medium_busy = spy("busy", mac.on_medium_busy)
+            mac.on_medium_idle = spy("idle", mac.on_medium_idle)
+            mac._resume_all = resume_all
+        network.run(until_us=seconds(5))
+        assert network.flow("F1").delivered > 50
+        assert edges["busy"] > 0 and edges["idle"] > 0
+        assert idle_macs == {"busy": 0, "idle": 0}
+
+    def test_backoff_count_follows_entity_states(self):
+        """The count the channel gates on equals the entities in BACKOFF
+        after every event: retries, drops and virtual collisions included."""
+        from repro.core import attach_ezflow
+        from repro.topology.testbed import testbed_network
+
+        network = testbed_network(seed=2)
+        attach_ezflow(network.nodes)
+        network.start_sources()
+        engine = network.engine
+        macs = [stack.mac for stack in network.nodes.values()]
+        while engine.now < seconds(3) and engine.step():
+            for mac in macs:
+                assert mac._port.contending == self.backoffs(mac), mac.node_id
+        assert sum(entity.virtual_collisions for mac in macs for entity in mac.entities)
+
+    def test_listeners_that_are_not_a_dcf_get_every_edge(self):
+        conn = ExplicitConnectivity(
+            ["a", "b", "far"],
+            rx_edges=[("a", "b")],
+            sense_edges=[("far", "b")],
+        )
+        engine = Engine()
+        channel = Channel(engine, conn, RngRegistry(0))
+        edges = []
+
+        class Stub:
+            def __init__(self, node):
+                self.node = node
+
+            def on_medium_busy(self, now):
+                edges.append((self.node, "busy", now))
+
+            def on_medium_idle(self, now):
+                edges.append((self.node, "idle", now))
+
+            def on_frame_received(self, frame, now):
+                pass
+
+            def on_frame_overheard(self, frame, now):
+                pass
+
+            def on_frame_error(self, now):
+                pass
+
+        for node in ("a", "b", "far"):
+            channel.attach(node, Stub(node))
+
+        class F:
+            def __init__(self, dst):
+                self.dst = dst
+
+        channel.transmit("a", F("b"), 100)
+        engine.schedule(50, channel.transmit, "far", F("nowhere"), 100)
+        engine.run()
+        channel.transmit("b", F("a"), 40)
+        engine.run()
+        # Every edge at every node, its own frame ends included.
+        assert sorted(edges, key=lambda e: (e[2], e[0], e[1])) == [
+            ("b", "busy", 0),
+            ("a", "idle", 100),
+            ("a", "busy", 150),
+            ("b", "idle", 150),
+            ("far", "busy", 150),
+            ("far", "idle", 150),
+            ("a", "idle", 190),
+            ("b", "idle", 190),
+            ("far", "idle", 190),
+        ]

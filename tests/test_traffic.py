@@ -119,3 +119,57 @@ class TestSaturatedSource:
         generated_at_stop = flow.generated
         network.engine.run(until=seconds(3))
         assert flow.generated == generated_at_stop
+
+
+class TestFullQueueTicks:
+    def test_full_source_queue_refuses_without_building_a_packet(self, monkeypatch):
+        """A tick that finds its source queue full builds no Packet, yet
+        counts the refusal exactly as a built-and-dropped packet did."""
+        from repro.core import attach_ezflow
+        from repro.net.packet import Packet
+        from repro.topology.testbed import testbed_network
+
+        built = []
+        original = Packet.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Packet, "__init__", counting_init)
+        network = testbed_network(seed=3)
+        attach_ezflow(network.nodes)
+        network.run(until_us=seconds(10))
+
+        own = {
+            queue.name: queue
+            for node in network.nodes.values()
+            for (kind, _), (queue, _) in node.queues().items()
+            if kind == "own"
+        }
+        assert len(built) == sum(queue.enqueued for queue in own.values())
+        # Pinned from the code that built and dropped every refused packet.
+        assert {f: network.flow(f).generated for f in ("F1", "F2")} == {
+            "F1": 2501,
+            "F2": 2501,
+        }
+        assert {n: network.nodes[n].source_drops for n in ("N0", "N0p")} == {
+            "N0": 2296,
+            "N0p": 1577,
+        }
+        dropped = {
+            queue.name: queue.dropped
+            for node in network.nodes.values()
+            for queue, _ in node.queues().values()
+        }
+        assert dropped == {
+            "nodeN0.own.toN1": 2296,
+            "nodeN0p.own.toN4": 1577,
+            "nodeN1.fwd.toN2": 0,
+            "nodeN2.fwd.toN3": 0,
+            "nodeN3.fwd.toN4": 0,
+            "nodeN4.fwd.toN5": 779,
+            "nodeN5.fwd.toN6": 0,
+            "nodeN6.fwd.toN7": 0,
+        }
+        assert network.trace.counter("nodeN0.own.toN1.drops") == 2296
