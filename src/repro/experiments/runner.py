@@ -511,14 +511,15 @@ class _ProcessLane:
     and for retries of crashed or timed-out runs — in a one-worker
     quarantine pool that lives for one batch. A worker death breaks the
     whole executor (``BrokenProcessPool``), so the lane rebuilds it and
-    sorts the in-flight runs: when exactly one was running, that run is
-    charged with the crash; when several were (the ambiguous case), each
-    suspect re-runs alone in the quarantine pool, where sole occupancy
-    attributes the next crash exactly. Queued, never-started runs are
-    resubmitted without being charged. ``run_timeout`` is enforced the
-    same way: the overdue run's pool is killed deliberately and only the
-    overdue run is charged. Charged crashes and timeouts reach the
-    dispatch loop as payloads of their own kind.
+    sorts the unfinished runs: when exactly one could have been on a
+    worker, that run is charged with the crash; when several could (the
+    ambiguous case), each suspect re-runs alone in the quarantine pool,
+    where sole occupancy attributes the next crash exactly. Runs no
+    worker can have picked up are resubmitted without being charged.
+    ``run_timeout`` is enforced the same way: the overdue run's pool is
+    killed deliberately and only the overdue run is charged. Charged
+    crashes and timeouts reach the dispatch loop as payloads of their
+    own kind.
     """
 
     parallel = True
@@ -699,15 +700,12 @@ class _ProcessLane:
                 else:
                     self.submit(position, task, quarantine)
             return
-        suspects = [entry for entry in crashed if entry[0] in self.started]
-        if not suspects and crashed:
-            # A fast crash can break the pool before any poll ever
-            # observes the run in flight. The executor dispatches
-            # submissions FIFO, so the earliest-submitted unfinished
-            # task(s) — at most one per worker — were the ones a worker
-            # had picked up.
-            suspects = crashed[: pool.workers]
-        queued = [entry for entry in crashed if entry not in suspects]
+        # The executor dispatches submissions FIFO, so the culprit is
+        # among the earliest-submitted unfinished tasks, at most one per
+        # worker. The runs a poll saw in flight are not enough: once a
+        # co-runner finishes, its worker takes the next run, which can
+        # crash before any poll sees it start.
+        suspects, queued = crashed[: pool.workers], crashed[pool.workers :]
         if len(suspects) == 1:
             position = suspects[0][0]
             now = time.monotonic()

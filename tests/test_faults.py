@@ -17,6 +17,9 @@ import json
 import os
 import traceback
 import warnings
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +35,8 @@ from repro.experiments.runner import (
     RunTimeoutError,
     SweepRunner,
     WorkerCrashError,
+    _Pool,
+    _ProcessLane,
     request_for,
 )
 from repro.experiments.specs import ParameterValueError
@@ -307,6 +312,32 @@ class TestWorkerDeath:
             second = runner.run(fast_requests((7, 8)), policy="continue")
         assert sum(1 for r in first if not r.ok) == 1
         assert all(r.ok for r in second)
+
+
+class TestCrashAttribution:
+    """Whom a broken pool charges, decided without real processes."""
+
+    def test_a_run_seen_in_flight_is_not_charged_for_an_unseen_one(self):
+        # A poll saw run 0 on one worker. The other worker then finished
+        # its run, took run 1 and died before the next poll.
+        class DeadExecutor:
+            def shutdown(self, wait, cancel_futures):
+                pass
+
+        lane = _ProcessLane(SimpleNamespace(_executor=None, _channel=None), None, None)
+        pool = lane.pools["main"] = _Pool(DeadExecutor(), 2)
+        for position in range(3):
+            future = Future()
+            future.set_exception(BrokenProcessPool("a worker died"))
+            pool.tasks[future] = (position, ("task", position))
+        lane.started[0] = 0.0
+        resubmitted = []
+        lane.submit = lambda position, task, quarantine=False: resubmitted.append(
+            (position, quarantine)
+        )
+        lane._handle_break("main")
+        assert lane.outbox == []  # nobody charged on a guess
+        assert resubmitted == [(0, True), (1, True), (2, False)]
 
 
 @pytest.mark.slow

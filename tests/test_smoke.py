@@ -83,9 +83,13 @@ def test_chaos_sweep_survives_resumes_and_matches_clean_bytes(
         "--store", f"dir:{out}", "--out", str(out),
     ])
     assert code == 4
-    assert "3 run(s) failed (9 survived)" in capsys.readouterr().err
     with open(out / "failures.json") as handle:
         failures = json.load(handle)["failures"]
+    # Name the failed runs: pytest may cut the count out of stderr, and
+    # a message that is not a string.
+    assert "3 run(s) failed (9 survived)" in capsys.readouterr().err, "\n".join(
+        f"{f['run_id']} [{f['kind']}] {f['message']}" for f in failures
+    )
     assert sorted(f["kind"] for f in failures) == ["exception", "timeout", "worker-crash"]
     # Resuming without the plan executes exactly the three failed runs.
     records = []
