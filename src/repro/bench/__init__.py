@@ -253,13 +253,15 @@ def build_suite() -> List[BenchCase]:
 def run_case(case: BenchCase, repeat: Optional[int] = None) -> Dict[str, object]:
     """Execute one case; returns its report entry (best wall of N runs).
 
-    Measurement hygiene: the shared testbed-run memoisation cache is
-    dropped and a full garbage collection runs before every round, so a
-    case's wall time does not depend on which cases ran before it.
+    Measurement hygiene: the shared testbed-run memoisation cache and
+    the held meshgen layout are dropped and a full garbage collection
+    runs before every round, so a case's wall time does not depend on
+    which cases or rounds ran before it.
     """
     import gc
 
     from repro.experiments import testbedlab
+    from repro.topology import meshgen
 
     rounds = max(1, repeat if repeat is not None else case.repeat)
     best_wall = None
@@ -268,6 +270,7 @@ def run_case(case: BenchCase, repeat: Optional[int] = None) -> Dict[str, object]
     best_scalars: Optional[Dict[str, float]] = None
     for _ in range(rounds):
         testbedlab.clear_cache()
+        meshgen.clear_cache()
         gc.collect()
         if case.kind == "micro":
             fn, _defaults = FUNCTION_CASES[case.target]

@@ -19,6 +19,7 @@ def telemetry_overhead(nodes: int = 49, density: float = 1.5, rounds: int = 3) -
     from repro.experiments.specs import get_spec
     from repro.telemetry.hub import TelemetryHub
     from repro.telemetry.probe import ProbeSession, probe_scope
+    from repro.topology import meshgen
 
     import gc
     import time
@@ -30,6 +31,7 @@ def telemetry_overhead(nodes: int = 49, density: float = 1.5, rounds: int = 3) -
         best = None
         for _ in range(max(1, rounds)):
             testbedlab.clear_cache()
+            meshgen.clear_cache()
             gc.collect()
             started = time.perf_counter()
             run_once()

@@ -9,6 +9,7 @@ is encoded, including its asymmetric sensing relations.
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_right
 from typing import (
@@ -211,6 +212,23 @@ class GeometricConnectivity(ConnectivityMap):
         self._sense: Dict[NodeId, FrozenSet[NodeId]] = dict(
             zip(ids, map(frozenset, sense))
         )
+
+    def copy(self) -> "GeometricConnectivity":
+        """An independent map of the same layout, without a rebuild.
+
+        The mutation API never changes an edge frozenset in place; it
+        rebinds a table entry to a new set. So the copy shares every
+        edge set (each iterates in this map's order) and copies only
+        what mutation rebinds: the positions, both edge tables, the
+        down set and the epoch. Churn on either map never reaches the
+        other.
+        """
+        clone = copy.copy(self)
+        clone.positions = dict(self.positions)
+        clone._rx = dict(self._rx)
+        clone._sense = dict(self._sense)
+        clone._down = set(self._down)
+        return clone
 
     # -- mutation API (churn / mobility) --------------------------------
 

@@ -17,7 +17,10 @@ module manufactures arbitrarily many. Three seeded generator kinds:
   sector, with seeded angular jitter.
 
 Every generated layout is validated connected before use (the mesh
-kind resamples, the deterministic kinds assert). ``build_mesh_network``
+kind resamples, the deterministic kinds assert). :func:`generate_topology`
+holds the layout it built last and hands every caller an independent
+copy, so runs of one layout under several algorithms build it once.
+``build_mesh_network``
 wires a full :class:`~repro.topology.builders.Network` with
 shortest-path (BFS) routes installed from every node toward every
 gateway, so any sampled source→gateway flow is routable immediately.
@@ -98,6 +101,20 @@ class MeshTopology:
     depths: Dict[int, Dict[int, int]] = field(default_factory=dict)
     parents: Dict[int, Dict[int, int]] = field(default_factory=dict)
     nearest: Dict[int, int] = field(default_factory=dict)
+
+    def copy(self) -> "MeshTopology":
+        """An independent copy: every dict copied, the map via its own
+        :meth:`~repro.phy.connectivity.GeometricConnectivity.copy`."""
+        return MeshTopology(
+            spec=self.spec,
+            positions=dict(self.positions),
+            gateways=list(self.gateways),
+            attempts=self.attempts,
+            connectivity=None if self.connectivity is None else self.connectivity.copy(),
+            depths={gw: dict(depths) for gw, depths in self.depths.items()},
+            parents={gw: dict(parents) for gw, parents in self.parents.items()},
+            nearest=dict(self.nearest),
+        )
 
     def route_to_gateway(self, node: int, gateway: Optional[int] = None) -> List[int]:
         """The BFS shortest path ``node -> ... -> gateway``."""
@@ -285,8 +302,46 @@ def _select_gateways(spec: MeshSpec, positions: Dict[int, Position]) -> List[int
     return chosen
 
 
+#: The last layout :func:`generate_topology` built, as ``(key, layout)``.
+_held: Optional[Tuple[str, MeshTopology]] = None
+
+
+def clear_cache() -> None:
+    """Drop the held layout (tests; benchmarks that time generation)."""
+    global _held
+    _held = None
+
+
 def generate_topology(spec: MeshSpec) -> MeshTopology:
-    """Generate, validate and annotate one layout (no simulation yet)."""
+    """Generate, validate and annotate one layout (no simulation yet).
+
+    Every call returns an independent copy (:meth:`MeshTopology.copy`):
+    its dicts and its connectivity map are the caller's own, so churn
+    or mobility on one run's map never reaches another run.
+
+    The module holds the one layout it built last. Consecutive calls
+    for one spec (a sweep running one layout under several algorithms)
+    build it once; a call for another spec drops the held layout
+    *before* building the next, so a process never holds two. The key
+    is the spec's ``repr``, not ``==``: ``MeshSpec(seed=1)`` equals
+    ``MeshSpec(seed=1.0)``, but the seed names the placement stream,
+    so the two are different layouts. The slot is read once into a
+    local, so two threads can at worst both build, never share a map.
+    :func:`clear_cache` drops the held layout.
+    """
+    global _held
+    key = repr(spec)
+    held = _held
+    if held is None or held[0] != key:
+        # Unbind both references first: the local would otherwise keep
+        # the old layout alive while the new one is built.
+        held = _held = None
+        held = _held = (key, _generate(spec))
+    return held[1].copy()
+
+
+def _generate(spec: MeshSpec) -> MeshTopology:
+    """Place, validate and annotate one layout: the memo's body."""
     rng = RngRegistry(spec.seed)
     attempts = 1
     if spec.kind == "mesh":

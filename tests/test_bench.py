@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench import (
     INDEX_CASE,
+    BenchCase,
     build_suite,
     compare_reports,
     dump_report,
@@ -17,7 +18,9 @@ from repro.bench import (
     run_suite,
 )
 from repro.bench.micro import MICRO_CASES
+from repro.bench.telemetrycase import telemetry_overhead
 from repro.bench.__main__ import main as bench_main
+from repro.topology import meshgen
 
 
 class TestSuiteDeclaration:
@@ -71,6 +74,17 @@ class TestRunAndReport:
         assert entry["events"] > 0
         assert entry["events_per_s"] > 0
         assert entry["kwargs"] == case.kwargs_dict
+
+    def test_every_meshgen_round_generates_its_layout(self, monkeypatch):
+        generate, built = meshgen._generate, []
+        monkeypatch.setattr(
+            meshgen, "_generate", lambda spec: built.append(spec) or generate(spec)
+        )
+        kwargs = (("duration_s", 1.0), ("nodes", 9), ("warmup_s", 0.5))
+        run_case(BenchCase("tiny", "scenario", "meshgen", kwargs), repeat=2)
+        assert len(built) == 2
+        telemetry_overhead(nodes=9, rounds=2)  # two detached, two attached
+        assert len(built) == 6
 
     def test_run_suite_filter_and_dump_roundtrip(self, tmp_path):
         report = run_suite(quick=True, only="engine_post")

@@ -140,6 +140,33 @@ class TestMapMutation:
         assert 2 in conn.receivers_of(0) and 0 in conn.receivers_of(2)
         assert 2 in conn.receivers_of(1)
 
+    def test_copy_mutations_leave_the_original_untouched(self):
+        rnd = random.Random(3)
+        positions = {i: (rnd.uniform(0, 600), rnd.uniform(0, 600)) for i in range(12)}
+        original = GeometricConnectivity(positions, RANGES)
+
+        def state(conn):
+            # Edge sets as lists: their iteration order counts too.
+            edges = [
+                [list(relation(node)) for node in sorted(conn.nodes())]
+                for relation in (
+                    conn.receivers_of,
+                    conn.sensors_of,
+                    conn.senders_received_at,
+                    conn.senders_sensed_at,
+                )
+            ]
+            return list(conn.positions.items()), edges, conn.epoch
+
+        before = state(original)
+        copy = original.copy()
+        assert state(copy) == before
+        copy.set_node_active(3, False)
+        copy.move_node(5, (150.0, 150.0))
+        assert state(copy) != before and copy.epoch == original.epoch + 2
+        assert state(original) == before
+        assert original.is_active(3)
+
     @given(
         seed=st.integers(0, 20),
         ops=st.lists(

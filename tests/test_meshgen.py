@@ -3,6 +3,9 @@
 import filecmp
 import json
 import os
+import sys
+import threading
+import weakref
 from collections import deque
 
 import pytest
@@ -12,13 +15,16 @@ from repro.experiments.runner import SweepRunner, _grid_requests
 from repro.experiments.specs import get_spec
 from repro.phy.connectivity import GeometricConnectivity
 from repro.phy.propagation import RangeModel, distance
+from repro.results.types import canonical_result_dict
 from repro.sim.units import seconds
+from repro.topology import meshgen as topology_meshgen
 from repro.topology.meshgen import (
     MESH_KINDS,
     MeshGenError,
     MeshSpec,
     MeshTopology,
     build_mesh_network,
+    clear_cache,
     generate_topology,
     is_connected,
     mean_degree,
@@ -54,6 +60,8 @@ class TestGenerators:
     def test_deterministic_positions(self, kind):
         spec = MeshSpec(kind=kind, nodes=14, seed=7)
         first = generate_topology(spec)
+        # Without the reset the second call copies the held layout.
+        clear_cache()
         second = generate_topology(spec)
         assert first.positions == second.positions
         assert first.gateways == second.gateways
@@ -145,6 +153,107 @@ class TestRouting:
         for node, gateway in topology.nearest.items():
             best = min(topology.depths[gw][node] for gw in topology.gateways)
             assert topology.depths[gateway][node] == best
+
+
+#: A churned, lossy meshgen run of the golden runs' layout.
+CHURNED = {
+    "nodes": 16,
+    "flows": 3,
+    "seed": 11,
+    "duration_s": 4.0,
+    "warmup_s": 1.0,
+    "loss": "ge:0.05:0.3",
+    "churn": "down:3@1.5+move:5@2:150:150+up:3@3",
+}
+
+
+class TestLayoutMemo:
+    def test_one_slot_builds_each_spec_once_and_drops_it_before_the_next(
+        self, monkeypatch
+    ):
+        first, second = MeshSpec(nodes=12, seed=1), MeshSpec(nodes=12, seed=2)
+        built, placed = [], []
+        generate, place = topology_meshgen._generate, topology_meshgen._mesh_positions
+
+        def counting_generate(spec):
+            layout = generate(spec)
+            built.append((spec, weakref.ref(layout), weakref.ref(layout.connectivity)))
+            return layout
+
+        def checking_place(spec, rng):
+            # Which earlier layouts are still alive when placement starts.
+            placed.append([ref() is not None for _, *refs in built for ref in refs])
+            return place(spec, rng)
+
+        clear_cache()
+        monkeypatch.setattr(topology_meshgen, "_generate", counting_generate)
+        monkeypatch.setattr(topology_meshgen, "_mesh_positions", checking_place)
+        for spec in (first, first, second, second):
+            generate_topology(spec)
+        assert [spec for spec, *_ in built] == [first, second]
+        assert placed == [[], [False, False]]
+
+    def test_threads_each_get_their_own_copy_of_the_right_layout(self):
+        specs = (MeshSpec(nodes=12, seed=1), MeshSpec(nodes=12, seed=2))
+        reference = {}
+        for spec in specs:
+            clear_cache()
+            reference[spec.seed] = generate_topology(spec).positions
+        results, errors = [], []
+
+        def worker(offset):
+            try:
+                for i in range(40):  # runs of four calls per spec
+                    spec = specs[(i // 4 + offset) % 2]
+                    results.append((spec.seed, generate_topology(spec)))
+            except Exception as error:  # asserted empty below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and len(results) == 160
+        assert all(layout.positions == reference[seed] for seed, layout in results)
+        # Every layout is still alive, so equal ids would mean a shared map.
+        assert len({id(layout.connectivity) for _, layout in results}) == 160
+
+    def test_equal_specs_of_different_spelling_are_different_layouts(self):
+        # MeshSpec(seed=1) == MeshSpec(seed=1.0), but the seed names
+        # the placement stream.
+        clear_cache()
+        as_float = generate_topology(MeshSpec(nodes=12, seed=1.0)).positions
+        as_int = generate_topology(MeshSpec(nodes=12, seed=1)).positions
+        clear_cache()
+        assert as_int == generate_topology(MeshSpec(nodes=12, seed=1)).positions
+        assert as_int != as_float
+
+    @pytest.mark.parametrize("fidelity", ["event", "slotted"])
+    def test_runs_sharing_a_layout_equal_runs_after_a_reset(self, fidelity):
+        from repro.experiments import meshgen
+
+        churned = dict(CHURNED, fidelity=fidelity)
+        static = {
+            key: value for key, value in churned.items() if key not in ("loss", "churn")
+        }
+        order = (churned, static, churned)
+
+        def after_reset(kwargs):
+            clear_cache()
+            return canonical_result_dict(meshgen.run(**kwargs))
+
+        expected = [after_reset(kwargs) for kwargs in order]
+        clear_cache()
+        shared = [canonical_result_dict(meshgen.run(**kwargs)) for kwargs in order]
+        assert shared == expected
+        assert expected[0] == expected[2] and expected[0] != expected[1]
 
 
 class TestWorkloads:
