@@ -100,9 +100,7 @@ class EZFlowController:
         estimate = boe.note_overheard(frame.packet.checksum)
         if estimate is not None and self.trace is not None:
             self.trace.record(
-                f"ezflow.node{self.node.node_id}.to{successor}.estimate",
-                now,
-                estimate,
+                f"boe.est.node{self.node.node_id}.to{successor}", now, estimate
             )
 
     # -- introspection ---------------------------------------------------------

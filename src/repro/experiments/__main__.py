@@ -132,10 +132,10 @@ def _add_store(parser: argparse.ArgumentParser) -> None:
         "--store",
         default=None,
         metavar="URL",
-        help="checkpoint runs into a result store and skip runs already "
-        "present: sqlite:PATH (a sqlite file) | dir:PATH (an export-tree "
-        "directory); an interrupted sweep re-issued against the same "
-        "store resumes instead of restarting",
+        help="checkpoint runs into a sqlite result store, named "
+        "sqlite:PATH, and skip runs already present; an interrupted sweep "
+        "re-issued against the same store resumes instead of restarting "
+        "(add --out DIR for an export tree)",
     )
 
 
@@ -163,7 +163,7 @@ def _add_fault_opts(parser: argparse.ArgumentParser) -> None:
         metavar="PLAN",
         help="inject deterministic faults into chosen runs, e.g. "
         "'2=raise+5=crash+8=hang:60' (testing/CI; see "
-        "repro.experiments.faults; env: REPRO_FAULT_PLAN)",
+        "repro.experiments.faults)",
     )
 
 

@@ -8,8 +8,9 @@ function of the plan spec and each run's identity, never of wall-clock
 time or worker scheduling, so a chaos sweep is as replayable as a clean
 one.
 
-Plan grammar (CLI ``--fault-plan`` or the :data:`FAULT_PLAN_ENV` env
-var)::
+Plan grammar (the CLI's ``--fault-plan``, ``faults=`` of
+:meth:`~repro.experiments.runner.SweepRunner.run` and ``Study.run``, or
+the service's ``fault_plan`` submission field)::
 
     PLAN     := CLAUSE ( '+' CLAUSE )*
     CLAUSE   := SELECTOR '=' ACTION
@@ -43,10 +44,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.experiments.specs import ParameterValueError
-
-#: Environment variable carrying a fault-plan spec; the CLI's
-#: ``--fault-plan`` takes precedence when both are given.
-FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 #: Default sleep for a bare ``hang`` action: effectively forever, so an
 #: unparameterised hang always trips any sane ``--run-timeout``.
@@ -193,12 +190,6 @@ class FaultPlan:
                 FaultClause(selector, FaultAction.parse(action_text.strip()))
             )
         return cls(tuple(clauses), text)
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultPlan"]:
-        """The plan from :data:`FAULT_PLAN_ENV`, or None when unset."""
-        spec = os.environ.get(FAULT_PLAN_ENV, "").strip()
-        return cls.parse(spec) if spec else None
 
     def action_for(self, run_id: str, index: int) -> Optional[FaultAction]:
         """The action for one run (first matching clause), or None."""

@@ -146,7 +146,7 @@ class RunRecord:
     """The outcome of one request.
 
     ``cached`` is True when the record came out of a
-    :class:`~repro.results.store.ResultStore` instead of being executed
+    :class:`~repro.results.store.SqliteStore` instead of being executed
     (a checkpoint/dedupe hit); ``wall_s`` then reports the originally
     measured wall seconds. Under ``--on-error continue`` a failed run
     yields a record with ``failure`` set and ``result`` None.
@@ -857,7 +857,7 @@ class SweepRunner:
     ) -> List[RunRecord]:
         """Execute ``requests`` and return their records, in request order.
 
-        With ``store`` (a :class:`~repro.results.store.ResultStore`),
+        With ``store`` (a :class:`~repro.results.store.SqliteStore`),
         requests whose content key is already present come back as cache
         hits (``record.cached``) without executing, every freshly
         executed run is checkpointed into the store the moment it
@@ -874,8 +874,8 @@ class SweepRunner:
         failed/missing runs. ``run_timeout`` kills any single run
         exceeding that many wall seconds (forces the process lane even
         at ``jobs=1``). ``faults`` injects a deterministic
-        :class:`~repro.experiments.faults.FaultPlan` (default: the
-        :data:`~repro.experiments.faults.FAULT_PLAN_ENV` env var).
+        :class:`~repro.experiments.faults.FaultPlan`; without one, no
+        run is faulted.
 
         ``telemetry`` (a :class:`~repro.telemetry.hub.TelemetryHub` with
         at least one listener) streams live run events through a
@@ -891,8 +891,6 @@ class SweepRunner:
             policy = ErrorPolicy()
         if run_timeout is not None and run_timeout <= 0:
             raise ValueError("run_timeout must be positive")
-        if faults is None:
-            faults = FaultPlan.from_env()
         counts = Counter(r.run_id for r in requests)
         dupes = sorted(run_id for run_id, count in counts.items() if count > 1)
         if dupes:

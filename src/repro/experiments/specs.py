@@ -63,7 +63,13 @@ class Param:
             raise ValueError(f"unknown parameter kind {self.kind!r}")
 
     def coerce(self, value: object) -> object:
-        """Coerce a CLI string (or passthrough value) to the declared kind."""
+        """Coerce a CLI string (or passthrough value) to the declared kind.
+
+        Integer kinds take integers only: an integral float becomes its
+        int (``3.0`` -> ``3``), and a bool, any other float or any other
+        type is a :class:`ParameterValueError`. Non-string values of the
+        other kinds pass through.
+        """
         if isinstance(value, str):
             try:
                 return _KIND_PARSERS[self.kind](value)
@@ -71,9 +77,27 @@ class Param:
                 raise ParameterValueError(
                     f"parameter {self.name!r}: cannot parse {value!r} as {self.kind}"
                 ) from error
-        if self.kind in ("ints", "floats") and isinstance(value, (list, tuple)):
+        if self.kind == "int":
+            return self._integer(value)
+        if self.kind == "ints":
+            if not isinstance(value, (list, tuple)):
+                raise ParameterValueError(
+                    f"parameter {self.name!r}: expected a sequence of integers, "
+                    f"got {value!r}"
+                )
+            return tuple(self._integer(item) for item in value)
+        if self.kind == "floats" and isinstance(value, (list, tuple)):
             return tuple(value)
         return value
+
+    def _integer(self, value: object) -> int:
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ParameterValueError(
+            f"parameter {self.name!r}: expected an integer, got {value!r}"
+        )
 
 
 @dataclass(frozen=True)

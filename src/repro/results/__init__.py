@@ -17,12 +17,11 @@ lives here (see EXPERIMENTS.md, "Programmatic API"):
 * :func:`compare` / :func:`render_compare` — cross-run algorithm-delta
   tables on aligned layouts (the ``compare`` CLI subcommand renders
   exactly these).
-* :class:`ResultStore` and its backends (:class:`DirectoryStore`,
-  :class:`SqliteStore`) plus :func:`open_store` — pluggable places for
-  results to live, keyed by content ``(spec id, canonical params,
-  seed)``: sweeps checkpoint into a store as runs finish, resume after
-  a kill, and dedupe identical requests into cache hits
-  (``Study(...).run(store=...)``, the CLI's ``--store``/``--resume``).
+* :class:`SqliteStore` plus :func:`open_store` (``sqlite:PATH``) — the
+  one place for results to live, keyed by content ``(spec id,
+  canonical params, seed)``: sweeps checkpoint into the store as runs
+  finish, resume after a kill, and dedupe identical requests into cache
+  hits (``Study(...).run(store=...)``, the CLI's ``--store``/``--resume``).
 * :class:`ErrorPolicy` / :class:`RunFailure` / :class:`FaultPlan` —
   fault-tolerant sweep execution: per-run failure isolation with
   retries and timeouts (``Study(...).run(on_error="continue")``, the
@@ -63,13 +62,7 @@ from repro.results.metrics import (
     DEFAULT_COMPARE_METRICS,
     MESHGEN_SUMMARY_COLUMNS,
 )
-from repro.results.store import (
-    DirectoryStore,
-    ResultStore,
-    SqliteStore,
-    content_key,
-    open_store,
-)
+from repro.results.store import SqliteStore, content_key, open_store
 from repro.results.study import Study, execute_requests
 from repro.results.types import (
     RUN_RESULT_SCHEMA,
@@ -82,14 +75,12 @@ from repro.results.types import (
 __all__ = [
     "COMPARE_TABLE_SCHEMA",
     "ComparisonError",
-    "DirectoryStore",
     "ErrorPolicy",
     "FaultPlan",
     "IncompleteSweepWarning",
     "RUN_FAILURE_SCHEMA",
     "RUN_RESULT_SCHEMA",
     "ResultLoadError",
-    "ResultStore",
     "RunFailure",
     "SqliteStore",
     "content_key",

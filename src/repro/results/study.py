@@ -175,8 +175,8 @@ class Study:
         (per-run dirs + manifest + index), byte-identical to the CLI's
         ``sweep ... --out``. Pass an existing ``runner`` to reuse a
         persistent worker pool across several studies. ``store`` (a
-        :class:`~repro.results.store.ResultStore`, or a store url such
-        as ``"sqlite:runs.sqlite"``/``"dir:out"`` resolved through
+        :class:`~repro.results.store.SqliteStore`, or a store url such
+        as ``"sqlite:runs.sqlite"`` resolved through
         :func:`~repro.results.store.open_store` and closed on return)
         checkpoints every completed run and turns already-stored
         requests into cache hits, so re-running an interrupted study
@@ -235,7 +235,7 @@ def _resolve_store(store):
     """Resolve a store argument: pass instances through, open url strings.
 
     Returns ``(store, opened)`` — ``opened`` is True when this call
-    created the instance (from a ``sqlite:``/``dir:`` url via
+    created the instance (from a ``sqlite:`` url via
     :func:`~repro.results.store.open_store`) and the caller therefore
     owns closing it.
     """

@@ -150,7 +150,7 @@ class RunResult:
     def result(self) -> ExperimentResult:
         """The wrapped experiment result, materialised on first access.
 
-        A store-backed run (see :meth:`repro.results.store.ResultStore.
+        A store-backed run (see :meth:`repro.results.store.SqliteStore.
         result_set`) starts with only its columnar side — parameters and
         scalar metrics — and fetches the full payload (series, tables)
         through ``loader`` the first time something needs it. Streaming
@@ -451,7 +451,7 @@ class ResultSet:
 
     @classmethod
     def from_store(cls, store, **params: object) -> "ResultSet":
-        """All runs of a :class:`~repro.results.store.ResultStore`.
+        """All runs of a :class:`~repro.results.store.SqliteStore`.
 
         Runs come back in sorted-run-id order with their columnar side
         (parameters, scalar metrics) populated eagerly and the full

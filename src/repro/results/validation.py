@@ -282,7 +282,7 @@ def validation_study(
     (:data:`DYNAMIC_CASES` unless overridden; pass ``()`` to skip, the
     CLI's ``--static-only``) before handing the set to
     :func:`validate_fidelity`. ``store`` checkpoints every block into
-    one :class:`~repro.results.store.ResultStore`, so an interrupted
+    one :class:`~repro.results.store.SqliteStore`, so an interrupted
     matrix resumes instead of restarting.
     """
     from repro.results.study import Study

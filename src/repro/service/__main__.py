@@ -31,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         required=True,
         metavar="URL",
-        help="shared result store all jobs checkpoint into: "
-        "sqlite:runs.sqlite | dir:results/ (the sweep CLI's --store urls)",
+        help="shared result store all jobs checkpoint into, as a "
+        "sqlite:PATH url (e.g. sqlite:runs.sqlite; the sweep CLI's --store)",
     )
     parser.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"

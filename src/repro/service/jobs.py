@@ -7,7 +7,7 @@ fault plan). Jobs queue in submission order and a single scheduler
 thread executes them one batch at a time, sharding each job's run grid
 across one persistent supervised
 :class:`~repro.experiments.runner.SweepRunner` pool that feeds a single
-shared :class:`~repro.results.store.ResultStore`:
+shared :class:`~repro.results.store.SqliteStore`:
 
 * the pool survives across jobs (and worker crashes — PR 8's
   supervision), so the service pays process spin-up once;

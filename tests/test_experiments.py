@@ -160,6 +160,11 @@ class TestHarnessTraceExports:
             assert all(key.startswith(prefixes) for key in keys), keys
             assert not any(key.startswith(("mac.", "phy.")) for key in keys)
             assert not any(key.endswith(".occupancy") for key in trace.series)
+            # No harness reads BOE's estimates, so none records them.
+            assert not any(
+                key.startswith("boe.est.") or key.endswith(".estimate")
+                for key in trace.series
+            ), keys
         if prefixes == ("buffer.",):
             assert all(
                 any(len(trace.get(key)) for key in trace.series) for trace in made
@@ -182,3 +187,15 @@ class TestHarnessTraceExports:
             assert network.trace.counter("mac.data_tx") > 0
             assert network.trace.counter("phy.tx_started") > 0
             assert any(key.endswith(".occupancy") for key in network.trace.series)
+
+    def test_default_built_ezflow_chain_records_estimates(self):
+        from repro.core import attach_ezflow
+        from repro.sim.units import seconds
+        from repro.topology.linear import linear_chain
+
+        network = linear_chain(hops=4, seed=1)
+        attach_ezflow(network.nodes)
+        network.run(until_us=seconds(2))
+        estimates = [key for key in network.trace.series if key.startswith("boe.est.")]
+        assert estimates
+        assert all(len(network.trace.get(key)) for key in estimates)

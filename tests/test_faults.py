@@ -23,12 +23,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.experiments.faults import (
-    FAULT_PLAN_ENV,
-    FaultAction,
-    FaultPlan,
-    InjectedFault,
-)
+from repro.experiments.faults import FaultAction, FaultPlan, InjectedFault
 from repro.experiments.runner import (
     ErrorPolicy,
     RunFailure,
@@ -46,7 +41,7 @@ from repro.results import (
     compare,
     open_store,
 )
-from repro.results.store import DirectoryStore, SqliteStore, request_key
+from repro.results.store import SqliteStore
 
 #: A fast, deterministic scenario for chaos runs (~10 ms each).
 FAST = {"slots": 300, "trials": 5}
@@ -149,15 +144,6 @@ class TestFaultPlanParsing:
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ParameterValueError):
             FaultPlan.parse(bad)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-        assert FaultPlan.from_env() is None
-        monkeypatch.setenv(FAULT_PLAN_ENV, "  ")
-        assert FaultPlan.from_env() is None
-        monkeypatch.setenv(FAULT_PLAN_ENV, "0=raise")
-        plan = FaultPlan.from_env()
-        assert plan.action_for("x", 0).kind == "raise"
 
     def test_times_cap_releases_later_attempts(self):
         action = FaultAction.parse("raise/2")
@@ -385,15 +371,11 @@ class TestRunTimeouts:
 
 
 class TestFailureStores:
-    """Failure records checkpoint into both store backends."""
+    """Failure records checkpoint into the store."""
 
-    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_put_failure_round_trips(self, tmp_path, backend):
-        store = (
-            DirectoryStore(str(tmp_path / "tree"))
-            if backend == "dir"
-            else SqliteStore(str(tmp_path / "s.sqlite"))
-        )
+        store = SqliteStore(str(tmp_path / "s.sqlite"))
         request = fast_requests((1,))[0]
         failure = RunFailure(
             run_id=request.run_id,
@@ -416,13 +398,9 @@ class TestFailureStores:
             assert store.get(request) is None
             assert failure.run_id in store.canonical_dump()["failures"]
 
-    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
+    @pytest.mark.parametrize("backend", ["sqlite"])
     def test_success_supersedes_failure(self, tmp_path, backend):
-        store = (
-            DirectoryStore(str(tmp_path / "tree"))
-            if backend == "dir"
-            else SqliteStore(str(tmp_path / "s.sqlite"))
-        )
+        store = SqliteStore(str(tmp_path / "s.sqlite"))
         request = fast_requests((1,))[0]
         failure = RunFailure(
             run_id=request.run_id, spec_id=request.spec_id,
@@ -480,19 +458,21 @@ class TestResumeAfterFailures:
         and a resumed tree equals an uninterrupted one."""
         plan = FaultPlan.parse("1=raise+2=crash")
         trees = {}
+        stores = {}
         for jobs in (1, 4):
             out = tmp_path / f"jobs{jobs}"
-            with open_store(f"dir:{out}") as store, SweepRunner(jobs=jobs) as runner:
-                runner.run(
+            stores[jobs] = f"sqlite:{tmp_path / f'jobs{jobs}.sqlite'}"
+            with open_store(stores[jobs]) as store, SweepRunner(jobs=jobs) as runner:
+                records = runner.run(
                     fast_requests(), policy="continue", faults=plan, store=store
                 )
+            ResultSet.from_records(records).save(str(out))
             trees[jobs] = out
-        # compare the full trees, skipping the two timing carriers
-        skip = {"manifest.json", ".sweep-checkpoint.json"}
+        # compare the full trees, skipping the timing carrier
         for root, _dirs, files in os.walk(trees[1]):
             rel = os.path.relpath(root, trees[1])
             for name in files:
-                if name in skip:
+                if name == "manifest.json":
                     continue
                 one = os.path.join(root, name)
                 four = os.path.join(trees[4], rel, name)
@@ -505,14 +485,16 @@ class TestResumeAfterFailures:
                 fast_requests()[i].run_id for i in (1, 2)
             )
             assert {f["kind"] for f in failures} == {"exception", "worker-crash"}
-        # resume one tree to completion: byte-identical to uninterrupted
-        with open_store(f"dir:{trees[1]}") as store, SweepRunner() as runner:
-            runner.run(fast_requests(), store=store)
-        ref = tmp_path / "ref"
-        with open_store(f"dir:{ref}") as store, SweepRunner() as runner:
-            runner.run(fast_requests(), store=store)
+        # resume one store to completion: its re-saved tree is
+        # byte-identical to an uninterrupted one
+        with open_store(stores[1]) as store, SweepRunner() as runner:
+            records = runner.run(fast_requests(), store=store)
+        ResultSet.from_records(records).save(str(trees[1]))
+        ref, ref_url = tmp_path / "ref", f"sqlite:{tmp_path / 'ref.sqlite'}"
+        with open_store(ref_url) as store, SweepRunner() as runner:
+            records = runner.run(fast_requests(), store=store)
+        ResultSet.from_records(records).save(str(ref))
         assert not (trees[1] / "failures.json").exists()
-        assert not (trees[1] / ".sweep-checkpoint.json").exists()
         for root, _dirs, files in os.walk(ref):
             rel = os.path.relpath(root, ref)
             for name in files:
@@ -715,14 +697,6 @@ class TestCLI:
 
         assert main(self.sweep_argv("--run-timeout", "0")) == 2
         assert "--run-timeout" in capsys.readouterr().err
-
-    def test_fault_plan_env_var(self, capsys, monkeypatch):
-        from repro.experiments.__main__ import main
-
-        monkeypatch.setenv(FAULT_PLAN_ENV, "1=raise")
-        code = main(self.sweep_argv("--on-error", "continue"))
-        assert code == 4
-        assert "1 run(s) failed" in capsys.readouterr().err
 
     def test_store_resume_after_failures(self, capsys, tmp_path):
         from repro.experiments.__main__ import main

@@ -83,6 +83,31 @@ class TestSpecs:
         with pytest.raises(ParameterValueError):
             get_spec("stability").validate({"slots": "many"})
 
+    def test_integer_kinds_take_integers_only(self):
+        meshgen = get_spec("meshgen")
+        validated = meshgen.validate({"seed": 3.0, "nodes": 16.0})
+        assert validated == {"seed": 3, "nodes": 16}
+        assert all(type(value) is int for value in validated.values())
+        for bad in (2.5, True, None, [3]):
+            with pytest.raises(ParameterValueError, match="seed"):
+                meshgen.validate({"seed": bad})
+        stability = get_spec("stability")
+        assert stability.validate({"cw": [8.0, 8, 8, 8]}) == {"cw": (8, 8, 8, 8)}
+        for bad in (8, (8, 2.5), (8, False)):
+            with pytest.raises(ParameterValueError, match="cw"):
+                stability.validate({"cw": bad})
+        # Float kinds are left alone, so duration_s=4 still exports as 4.
+        assert type(meshgen.validate({"duration_s": 4})["duration_s"]) is int
+
+    def test_integral_float_seed_runs_the_integer_seed(self):
+        from repro.results.types import canonical_result_dict
+
+        spec = get_spec("meshgen")
+        tiny = {"nodes": 9, "duration_s": 1.0, "warmup_s": 0.5, "fidelity": "slotted"}
+        assert canonical_result_dict(spec.run(seed=3.0, **tiny)) == (
+            canonical_result_dict(spec.run(seed=3, **tiny))
+        )
+
     def test_alias_ids_present(self):
         ids = experiment_ids()
         for required in ("fig6", "fig10", "table3", "table4"):

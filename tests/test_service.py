@@ -213,6 +213,12 @@ class TestAppRouting:
         bad_value = {"experiment": "stability", "grid": {"slots": ["many"]}}
         assert wsgi_call(app, "POST", "/studies", bad_value)[0] == 400
 
+    def test_non_integral_seed_is_400(self, app):
+        submission = {"experiment": "meshgen", "set": {"seed": 2.5}}
+        status, doc = wsgi_call(app, "POST", "/studies", submission)
+        assert status == 400 and "seed" in doc["error"]
+        assert wsgi_call(app, "GET", "/status")[1]["queue_depth"] == 0
+
     def test_submit_queue_cancel(self, app):
         status, doc = wsgi_call(app, "POST", "/studies", stability_doc())
         assert status == 202

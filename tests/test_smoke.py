@@ -76,11 +76,12 @@ def test_chaos_sweep_survives_resumes_and_matches_clean_bytes(
     # One raising run, one worker crash and one hang past --run-timeout
     # under --on-error continue at --jobs 2.
     clean, out = tmp_path / "clean", tmp_path / "chaos"
+    store = f"sqlite:{tmp_path / 'chaos.sqlite'}"
     assert cli.main(SWEEP + ["--jobs", "1", "--out", str(clean)]) == 0
     code = cli.main(SWEEP + [
         "--fault-plan", "2=raise+5=crash+8=hang:60", "--run-timeout", "8",
         "--on-error", "continue", "--jobs", "2",
-        "--store", f"dir:{out}", "--out", str(out),
+        "--store", store, "--out", str(out),
     ])
     assert code == 4
     with open(out / "failures.json") as handle:
@@ -94,12 +95,11 @@ def test_chaos_sweep_survives_resumes_and_matches_clean_bytes(
     # Resuming without the plan executes exactly the three failed runs.
     records = []
     monkeypatch.setattr(cli, "_print_record", records.append)
-    assert cli.main(SWEEP + ["--store", f"dir:{out}", "--resume", "--out", str(out)]) == 0
+    assert cli.main(SWEEP + ["--store", store, "--resume", "--out", str(out)]) == 0
     assert "9 cache hit(s), 3 executed" in capsys.readouterr().err
     executed = sorted(r.request.run_id for r in records if not r.cached)
     assert executed == sorted(f["run_id"] for f in failures)
     assert not (out / "failures.json").exists()
-    assert not (out / ".sweep-checkpoint.json").exists()
     assert_same_export(clean, out)
 
 

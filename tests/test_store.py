@@ -1,13 +1,12 @@
-"""Tests for the pluggable result stores (repro.results.store).
+"""Tests for the sqlite result store (repro.results.store).
 
-Covers content-key identity (spelling-independent dedupe), both
-backends' put/get/index primitives, checkpoint/resume through
-SweepRunner/Study (including a sweep killed by a fault plan), lazy streaming
-aggregation over a store, torn-checkpoint recovery, and the CLI
+Covers content-key identity (spelling-independent dedupe), the store's
+put/get/index primitives, checkpoint/resume through SweepRunner/Study
+(including a sweep killed by a fault plan), lazy streaming aggregation
+over a store, the ``sqlite:PATH`` url rule, and the CLI
 ``--store``/``--resume`` surfaces.
 """
 
-import json
 import os
 import sqlite3
 
@@ -24,7 +23,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.specs import ParameterValueError
 from repro.results import (
-    DirectoryStore,
     ResultLoadError,
     ResultSet,
     SqliteStore,
@@ -35,7 +33,7 @@ from repro.results import (
     open_store,
     render_compare,
 )
-from repro.results.store import CHECKPOINT_SIDECAR, request_key
+from repro.results.store import request_key
 
 # A scenario cheap enough to run many times in tests.
 FAST = {"slots": 1500, "trials": 15}
@@ -65,12 +63,10 @@ def meshgen_requests(**extra):
     return _grid_requests("meshgen", grid)
 
 
-@pytest.fixture(params=["sqlite", "directory"])
-def store(request, tmp_path):
-    if request.param == "sqlite":
-        backend = SqliteStore(str(tmp_path / "store.sqlite"))
-    else:
-        backend = DirectoryStore(str(tmp_path / "store"))
+# One param, so the tests keep their ``[sqlite]`` ids.
+@pytest.fixture(params=["sqlite"])
+def store(tmp_path):
+    backend = SqliteStore(str(tmp_path / "store.sqlite"))
     yield backend
     backend.close()
 
@@ -236,32 +232,36 @@ class TestSqliteBackend:
         store.close()
 
     def test_open_store_rejects_bare_paths(self, tmp_path, capsys):
-        # Only the two schemes name a store: a bare path (whatever its
-        # suffix, even an existing sqlite file) or an unknown prefix is
-        # an input error naming both spellings, and the CLI exits 2.
+        # Only sqlite: names a store: a bare path (whatever its suffix,
+        # even an existing sqlite file) or an unknown prefix is an input
+        # error naming that spelling, and the CLI exits 2.
         existing = str(tmp_path / "runs.sqlite")
         SqliteStore(existing).close()
         for url in (existing, str(tmp_path / "tree"), f"file:{tmp_path / 'x'}"):
-            with pytest.raises(ParameterValueError, match="'sqlite:PATH' or 'dir:PATH'"):
+            with pytest.raises(ParameterValueError, match="'sqlite:PATH'"):
                 open_store(url)
         argv = ["run", "stability", "--set", "slots=1500", "--store", existing]
         assert main(argv) == 2
-        assert "'sqlite:PATH' or 'dir:PATH'" in capsys.readouterr().err
+        assert "'sqlite:PATH'" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "tree")
 
-    def test_open_store_explicit_schemes(self, tmp_path):
-        # The scheme alone picks the backend: sqlite: on any path, dir:
-        # even on a .sqlite-looking path.
+    def test_open_store_explicit_schemes(self, tmp_path, capsys):
+        # sqlite: opens a store on any path; dir: is no store, even on a
+        # .sqlite-looking path, and the CLI exits 2 without creating it.
         store = open_store(f"sqlite:{tmp_path / 'anything.weird'}")
         assert isinstance(store, SqliteStore)
         store.close()
-        store = open_store(f"dir:{tmp_path / 'tree.sqlite'}")
-        assert isinstance(store, DirectoryStore)
-        store.close()
+        for url in (f"dir:{tmp_path / 'tree.sqlite'}", "dir:"):
+            with pytest.raises(ParameterValueError, match="'sqlite:PATH'"):
+                open_store(url)
+        tree = f"dir:{tmp_path / 'tree'}"
+        argv = ["run", "stability", "--set", "slots=1500", "--store", tree]
+        assert main(argv) == 2
+        assert "'sqlite:PATH'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "tree")
+        assert not os.path.exists(tmp_path / "tree.sqlite")
         with pytest.raises(ValueError, match="empty path"):
             open_store("sqlite:")
-        with pytest.raises(ValueError, match="empty path"):
-            open_store("dir:")
 
     def test_study_run_accepts_store_urls(self, tmp_path):
         url = f"sqlite:{tmp_path / 'runs.sqlite'}"
@@ -272,67 +272,6 @@ class TestSqliteBackend:
             store=url, on_record=lambda record: hits.append(record.cached)
         )
         assert hits == [True]  # the url named the same backing store
-
-
-class TestDirectoryBackend:
-    def test_put_exports_run_dir_immediately(self, tmp_path):
-        store = DirectoryStore(str(tmp_path / "tree"))
-        record = fast_record(seed=3)
-        store.put(record)
-        run_dir = tmp_path / "tree" / record.request.run_id
-        assert (run_dir / "result.json").is_file()
-        assert (tmp_path / "tree" / CHECKPOINT_SIDECAR).is_file()
-
-    def test_torn_checkpoint_treated_as_absent(self, tmp_path):
-        store = DirectoryStore(str(tmp_path / "tree"))
-        record = fast_record(seed=3)
-        store.put(record)
-        result_json = tmp_path / "tree" / record.request.run_id / "result.json"
-        result_json.write_text("{ torn")
-        assert store.get(record.request) is None  # re-runs instead of crashing
-
-    def test_finalize_matches_plain_export(self, tmp_path):
-        """A finalized store tree == ResultSet.save, manifest timing aside."""
-        records = [execute_request(r) for r in meshgen_requests()]
-        store = DirectoryStore(str(tmp_path / "tree"))
-        for record in records:
-            store.put(record)
-        store.finalize(records)
-        assert not (tmp_path / "tree" / CHECKPOINT_SIDECAR).exists()
-
-        ResultSet.from_records(records).save(str(tmp_path / "plain"))
-        compared = _tree_files(tmp_path / "tree")
-        assert compared == _tree_files(tmp_path / "plain")
-        for rel in compared:
-            if rel == "manifest.json":
-                continue
-            assert (tmp_path / "tree" / rel).read_bytes() == (
-                tmp_path / "plain" / rel
-            ).read_bytes(), rel
-        manifests = []
-        for root in ("tree", "plain"):
-            manifest = json.loads((tmp_path / root / "manifest.json").read_text())
-            manifest.pop("timing")
-            manifests.append(manifest)
-        assert manifests[0] == manifests[1]
-
-    def test_manifest_only_tree_resolves_entries(self, tmp_path):
-        """A plain --out tree (no sidecar) is already a warm store."""
-        records = [execute_request(r) for r in meshgen_requests()]
-        ResultSet.from_records(records).save(str(tmp_path / "plain"))
-        store = DirectoryStore(str(tmp_path / "plain"))
-        hit = store.get(records[0].request)
-        assert hit is not None and hit.cached
-        assert hit.result.to_dict() == records[0].result.to_dict()
-
-
-def _tree_files(root):
-    found = []
-    for dirpath, _dirnames, filenames in os.walk(root):
-        for name in filenames:
-            rel = os.path.relpath(os.path.join(dirpath, name), root)
-            found.append(rel)
-    return sorted(found)
 
 
 class TestSweepResume:
