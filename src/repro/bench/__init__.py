@@ -1,31 +1,36 @@
-"""Persistent benchmark suite: the repo's measured performance trajectory.
+"""Declared benchmark suite: the repo's measured performance trajectory.
 
-``python -m repro.bench`` runs a *declared* suite of cases — engine
-dispatch micro-benchmarks, wall time of every canned paper figure, and a
-meshgen scaling curve at 16/25/49/100 nodes — and emits a sorted-keys
-JSON report (events/s and wall seconds per case). Reports are committed
-as ``BENCH_<tag>.json`` baselines; ``--compare old.json`` renders a
-delta table against any previous report, so speed is a regression-tested
-property of the repo rather than a claim in a commit message.
+``python -m repro.bench`` runs one declared suite of eleven cases —
+engine dispatch micro-benchmarks, result-store throughput, telemetry
+overhead, a short paper figure, short event-tier meshgen runs and the
+100-node meshgen pair that shows the slotted tier's speed-up — and
+emits a sorted-keys JSON report (wall seconds and events/s per case).
+A report committed as ``BENCH_<tag>.json`` is the baseline that
+``--compare old.json`` renders a delta table against, so speed is a
+regression-tested property of the repo rather than a claim in a commit
+message.
 
-Cross-machine comparisons are normalised by the engine-dispatch
-micro-benchmark (a hardware speed index): a case only counts as a
-regression if it got slower *relative to raw dispatch throughput* on the
-same machine, which makes a ~30 % CI tolerance meaningful even when the
-baseline was recorded on different hardware.
+Every round of every case is bracketed by two runs of the calibration
+probe (:mod:`repro.bench.probe`), a pure-Python loop that imports
+nothing from ``repro``. A case records its best round's wall time and
+the mean probe time of that round, and a comparison divides each case
+by its own probe ratio: a slower or busier machine slows the probe as
+much as the case and cancels out, while a slower program does not.
 
 Case names are stable identifiers; a case is only comparable across two
-reports when both its name and its kwargs match.
+reports of the same schema when both its name and its kwargs match.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.micro import MICRO_CASES
+from repro.bench.probe import probe_s
 from repro.bench.storecase import STORE_CASES
 from repro.bench.telemetrycase import TELEMETRY_CASES
 
@@ -33,28 +38,24 @@ from repro.bench.telemetrycase import TELEMETRY_CASES
 #: plus the result-store throughput and telemetry overhead cases.
 FUNCTION_CASES = {**MICRO_CASES, **STORE_CASES, **TELEMETRY_CASES}
 
-SCHEMA = "repro.bench/1"
-
-#: The hardware speed index case used to normalise cross-machine deltas.
-INDEX_CASE = "micro.engine_post_dispatch"
+SCHEMA = "repro.bench/2"
 
 
 @dataclass(frozen=True)
 class BenchCase:
     """One declared benchmark case.
 
-    ``kind`` is ``micro`` (a function from :mod:`repro.bench.micro`) or
+    ``kind`` is ``micro`` (a function from :data:`FUNCTION_CASES`) or
     ``scenario`` (an experiment id from the scenario catalogue run with
-    explicit kwargs). ``quick`` cases form the CI subset; the full suite
-    runs everything.
+    explicit kwargs). The case runs ``repeat`` rounds and keeps the
+    fastest.
     """
 
     name: str
     kind: str  # "micro" | "scenario"
-    target: str  # micro case name or scenario spec id
+    target: str  # function case name or scenario spec id
     kwargs: Tuple[Tuple[str, object], ...] = ()
-    quick: bool = False
-    repeat: int = 1
+    repeat: int = 3
 
     @property
     def kwargs_dict(self) -> Dict[str, object]:
@@ -66,171 +67,35 @@ def _kw(**kwargs) -> Tuple[Tuple[str, object], ...]:
 
 
 def build_suite() -> List[BenchCase]:
-    """The declared suite, in execution order (micro, figures, meshgen)."""
-    cases: List[BenchCase] = []
-    for name, (_, kwargs) in MICRO_CASES.items():
-        cases.append(
-            BenchCase(name, "micro", name, _kw(**kwargs), quick=True, repeat=3)
-        )
-    # Result-store throughput (insert + streaming scalars_frame/compare
-    # over a synthetic store): the full 1k-run point, plus a short point
-    # for the CI quick lane.
-    cases.append(
-        BenchCase(
-            "results.store.n1000",
-            "micro",
-            "results.store.n1000",
-            _kw(runs=1000),
-            repeat=2,
-        )
-    )
-    cases.append(
-        BenchCase(
-            "results.store.quick.n200",
-            "micro",
-            "results.store.quick.n200",
-            _kw(runs=200),
-            quick=True,
-            repeat=2,
-        )
-    )
-    # Telemetry plane overhead on the mid-size meshgen point: the case
-    # itself runs attached and detached best-of-N and reports
-    # overhead_frac (< 0.05 is the budget), so repeat stays 1 here.
-    cases.append(
-        BenchCase(
-            "telemetry.overhead",
-            "micro",
-            "telemetry.overhead",
-            _kw(nodes=49, density=1.5),
-        )
-    )
-    # Every canned paper experiment at its default parameters: the
-    # per-figure wall-time trajectory.
-    for spec_id in (
-        "fig1",
-        "table1",
-        "fig4",
-        "table2",
-        "scenario1",
-        "scenario2",
-        "stability",
-        "loadsweep",
-        "bidirectional",
-    ):
-        cases.append(BenchCase(f"figure.{spec_id}", "scenario", spec_id))
-    # A short canned figure for the CI quick lane.
+    """The declared suite, in execution order."""
+    # Function cases run with the kwargs they are registered with. The
+    # telemetry overhead case (meshgen.n49, whose < 5 % budget CI
+    # checks) takes the best of 3 detached and 3 attached runs itself,
+    # so it runs one round here.
+    cases = []
+    for name, (_, kwargs) in FUNCTION_CASES.items():
+        rounds = 1 if name in TELEMETRY_CASES else 3
+        cases.append(BenchCase(name, "micro", name, _kw(**kwargs), repeat=rounds))
     cases.append(
         BenchCase(
             "figure.fig1.short",
             "scenario",
             "fig1",
             _kw(duration_s=60.0, warmup_s=10.0),
-            quick=True,
         )
     )
-    # Meshgen scaling curve: random geometric meshes at growing node
-    # counts, default workload/algorithm. Density 1.5 keeps ~4.7
-    # expected neighbours; at 100 nodes that is below the connectivity
-    # threshold (~ln n), so the 100-node point runs at density 2.5.
-    for nodes, density in ((16, 1.5), (25, 1.5), (49, 1.5), (100, 2.5)):
-        cases.append(
-            BenchCase(
-                f"meshgen.n{nodes}",
-                "scenario",
-                "meshgen",
-                _kw(nodes=nodes, density=density),
-                repeat=2,
-            )
-        )
-    # Short meshgen points for the CI quick lane.
-    for nodes, density in ((16, 1.5), (49, 1.5)):
+    for nodes in (16, 49):
         cases.append(
             BenchCase(
                 f"meshgen.quick.n{nodes}",
                 "scenario",
                 "meshgen",
-                _kw(nodes=nodes, density=density, duration_s=8.0, warmup_s=2.0),
-                quick=True,
-                repeat=2,
+                _kw(nodes=nodes, density=1.5, duration_s=8.0, warmup_s=2.0),
             )
         )
-    # The slotted fast tier on the same scaling curve: n100 mirrors the
-    # event-core meshgen.n100 point (same kwargs plus fidelity), so a
-    # report documents the tier speedup directly; n400 is only feasible
-    # on this tier and tracks its own scaling headroom.
-    cases.append(
-        BenchCase(
-            "meshgen.slotted.n100",
-            "scenario",
-            "meshgen",
-            _kw(nodes=100, density=2.5, fidelity="slotted"),
-            repeat=2,
-        )
-    )
-    cases.append(
-        BenchCase(
-            "meshgen.slotted.n400",
-            "scenario",
-            "meshgen",
-            _kw(nodes=400, density=2.5, fidelity="slotted"),
-            repeat=2,
-        )
-    )
-    # Mesh scale, where topology generation is a visible share of a
-    # run: n1000 is the large slotted layout of ezbench's `mesh`
-    # workload; n4000 at a short horizon tracks how generation and the
-    # slot loop scale past it.
-    cases.append(
-        BenchCase(
-            "meshgen.slotted.n1000",
-            "scenario",
-            "meshgen",
-            _kw(
-                nodes=1000,
-                density=5.0,
-                flows=40,
-                fidelity="slotted",
-                duration_s=4.0,
-                warmup_s=1.0,
-            ),
-            repeat=2,
-        )
-    )
-    cases.append(
-        BenchCase(
-            "meshgen.slotted.n4000",
-            "scenario",
-            "meshgen",
-            _kw(
-                nodes=4000,
-                density=5.0,
-                flows=40,
-                fidelity="slotted",
-                duration_s=2.0,
-                warmup_s=0.5,
-            ),
-            repeat=2,
-        )
-    )
     # Dynamic link state: Gilbert-Elliott loss on every link plus a
     # churn/mobility schedule (down, move, up), so plan invalidation and
     # BFS re-routing are part of the measured trajectory.
-    cases.append(
-        BenchCase(
-            "meshgen.churn.n25",
-            "scenario",
-            "meshgen",
-            _kw(
-                nodes=25,
-                loss="ge:0.02:0.25",
-                churn="down:3@6+move:5@10:150:150+up:3@14",
-                duration_s=20.0,
-                warmup_s=4.0,
-            ),
-            repeat=2,
-        )
-    )
     cases.append(
         BenchCase(
             "meshgen.churn.quick.n25",
@@ -243,110 +108,92 @@ def build_suite() -> List[BenchCase]:
                 duration_s=8.0,
                 warmup_s=2.0,
             ),
-            quick=True,
-            repeat=2,
+        )
+    )
+    # One 100-node mesh on both engine tiers: the pair's wall ratio is
+    # the slotted tier's speed-up. Density 1.5 keeps ~4.7 expected
+    # neighbours, below the connectivity threshold (~ln n) at 100
+    # nodes, so this point runs at density 2.5.
+    cases.append(
+        BenchCase("meshgen.n100", "scenario", "meshgen", _kw(nodes=100, density=2.5))
+    )
+    cases.append(
+        BenchCase(
+            "meshgen.slotted.n100",
+            "scenario",
+            "meshgen",
+            _kw(nodes=100, density=2.5, fidelity="slotted"),
         )
     )
     return cases
 
 
-def run_case(case: BenchCase, repeat: Optional[int] = None) -> Dict[str, object]:
-    """Execute one case; returns its report entry (best wall of N runs).
+def run_case(case: BenchCase) -> Dict[str, object]:
+    """Execute one case; returns its report entry.
 
-    Measurement hygiene: the shared testbed-run memoisation cache and
-    the held meshgen layout are dropped and a full garbage collection
-    runs before every round, so a case's wall time does not depend on
-    which cases or rounds ran before it.
+    A probe runs before the first round and after every round, so two
+    probes bracket each one; the entry keeps the fastest round's wall
+    time and the mean of that round's two probe times. Measurement
+    hygiene: before every probe, the shared testbed-run memoisation
+    cache and the held meshgen layout are dropped and a full garbage
+    collection runs, so neither a probe nor a round pays for what an
+    earlier round left behind, and a case's wall time does not depend
+    on which cases or rounds ran before it.
     """
-    import gc
-
     from repro.experiments import testbedlab
     from repro.topology import meshgen
 
-    rounds = max(1, repeat if repeat is not None else case.repeat)
-    best_wall = None
-    events: Optional[float] = None
-    sim_ticks: Optional[float] = None
-    best_scalars: Optional[Dict[str, float]] = None
-    for _ in range(rounds):
+    def settled_probe() -> float:
         testbedlab.clear_cache()
         meshgen.clear_cache()
         gc.collect()
-        if case.kind == "micro":
-            fn, _defaults = FUNCTION_CASES[case.target]
-            started = time.perf_counter()
-            stats = fn(**case.kwargs_dict)
-            wall = time.perf_counter() - started
-            round_events = float(stats.get("events", 0)) or None
-            round_ticks = None
-            # Any extra numeric keys a micro case reports (e.g. the
-            # telemetry case's overhead_frac) land as scalars, the same
-            # slot scenario cases use for their headline metrics.
-            round_scalars = {
-                key: float(value)
-                for key, value in stats.items()
-                if key != "events" and isinstance(value, (int, float))
-            } or None
-        else:
-            from repro.experiments.specs import get_spec
-            from repro.results import RunResult
+        return probe_s()
 
-            spec = get_spec(case.target)
-            started = time.perf_counter()
-            result = spec.run(**case.kwargs_dict)
-            wall = time.perf_counter() - started
-            round_events = result.runtime.get("events")
-            round_ticks = result.runtime.get("sim_ticks")
-            # Keep only the small scalar dict, never the result itself:
-            # holding a full result (series, tables) across the
-            # remaining rounds would defeat the per-round gc isolation.
-            round_scalars = RunResult.from_result(result).numeric_scalars()
-            del result
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-            events = round_events
-            sim_ticks = round_ticks
-            best_scalars = round_scalars
-    entry: Dict[str, object] = {
+    best = None
+    probe = settled_probe()
+    for _ in range(max(1, case.repeat)):
+        wall, events = _timed_round(case)
+        before, probe = probe, settled_probe()
+        if best is None or wall < best[0]:
+            best = (wall, (before + probe) / 2.0, events)
+    wall, probe, events = best
+    return {
         "kind": case.kind,
         "kwargs": case.kwargs_dict,
-        "wall_s": round(best_wall, 6),
-        "events": None if events is None else int(events),
-        "events_per_s": (
-            None if not events or best_wall <= 0 else round(events / best_wall, 1)
-        ),
+        "wall_s": round(wall, 6),
+        "probe_s": round(probe, 6),
+        "events": events,
+        "events_per_s": round(events / wall, 1) if events else None,
     }
-    if sim_ticks:
-        entry["sim_s"] = round(sim_ticks / 1e6, 6)
-    if best_scalars is not None:
-        # Scenario cases also record their headline scalar metrics (via
-        # the typed results layer), so a bench report documents *what*
-        # was computed alongside how fast — and a perf change that
-        # shifts semantics shows up in the same file. Scalars are
-        # deterministic; comparisons still match cases on name+kwargs
-        # only, so older baselines without the key stay comparable.
-        entry["scalars"] = best_scalars
-    return entry
+
+
+def _timed_round(case: BenchCase) -> Tuple[float, Optional[int]]:
+    """Wall seconds and engine events of one round of ``case``.
+
+    A scenario's result is dropped when this returns, before the probe
+    that closes the round, so no round holds the one before it alive.
+    """
+    if case.kind == "micro":
+        fn, _defaults = FUNCTION_CASES[case.target]
+        started = time.perf_counter()
+        events = fn(**case.kwargs_dict).get("events")
+    else:
+        from repro.experiments.specs import get_spec
+
+        spec = get_spec(case.target)
+        started = time.perf_counter()
+        events = spec.run(**case.kwargs_dict).runtime.get("events")
+    wall = time.perf_counter() - started
+    return wall, int(events) if events else None
 
 
 def run_suite(
-    quick: bool = False,
-    only: Optional[str] = None,
-    repeat: Optional[int] = None,
     progress: Optional[Callable[[str, Dict[str, object]], None]] = None,
 ) -> Dict[str, object]:
-    """Run the (filtered) suite and return the report dict."""
-    report: Dict[str, object] = {
-        "schema": SCHEMA,
-        "suite": "quick" if quick else "full",
-        "cases": {},
-    }
+    """Run the declared suite and return the report dict."""
+    report: Dict[str, object] = {"schema": SCHEMA, "cases": {}}
     for case in build_suite():
-        if quick and not case.quick:
-            continue
-        if only and only not in case.name:
-            continue
-        entry = run_case(case, repeat=repeat)
+        entry = run_case(case)
         report["cases"][case.name] = entry
         if progress is not None:
             progress(case.name, entry)
@@ -361,25 +208,14 @@ def dump_report(report: Dict[str, object], path: str) -> None:
 
 
 def load_report(path: str) -> Dict[str, object]:
-    """Read a previously written report JSON."""
+    """Read a report JSON; a report of another schema is a ValueError."""
     with open(path) as handle:
-        return json.load(handle)
-
-
-def hardware_index(old: Dict[str, object], new: Dict[str, object]) -> float:
-    """Relative machine speed new/old, from the dispatch micro case.
-
-    > 1.0 means the new machine dispatches faster. Falls back to 1.0
-    when either report lacks the index case.
-    """
-    try:
-        old_rate = old["cases"][INDEX_CASE]["events_per_s"]
-        new_rate = new["cases"][INDEX_CASE]["events_per_s"]
-    except (KeyError, TypeError):
-        return 1.0
-    if not old_rate or not new_rate:
-        return 1.0
-    return float(new_rate) / float(old_rate)
+        report = json.load(handle)
+    if report.get("schema") != SCHEMA:
+        raise ValueError(
+            f"{path} is a {report.get('schema')!r} report, not {SCHEMA!r}"
+        )
+    return report
 
 
 def compare_reports(
@@ -387,42 +223,40 @@ def compare_reports(
 ) -> List[Dict[str, object]]:
     """Per-case deltas for cases present (with equal kwargs) in both.
 
-    ``speedup`` is raw old/new wall; ``norm_speedup`` divides out the
-    hardware index (a machine running dispatch 2x slower halves every
-    raw speedup for equal code, so dividing by the index restores
-    ~1.0x), letting two reports from different machines compare code
-    speed rather than CPU speed.
+    ``speedup`` is raw old/new wall. ``probe_ratio`` is the case's
+    old/new probe time: how much faster the machine ran the probe next
+    to the new measurement. ``norm_speedup`` divides it out, so a
+    machine that runs everything twice as slow compares at 1.0x while a
+    program that got slower than the probe does not.
     """
-    index = hardware_index(old, new)
     rows: List[Dict[str, object]] = []
-    for name in sorted(set(old.get("cases", {})) & set(new.get("cases", {}))):
+    for name in sorted(set(old["cases"]) & set(new["cases"])):
         old_case = old["cases"][name]
         new_case = new["cases"][name]
-        if old_case.get("kwargs") != new_case.get("kwargs"):
+        if old_case["kwargs"] != new_case["kwargs"]:
             continue
-        old_wall = float(old_case["wall_s"])
-        new_wall = float(new_case["wall_s"])
-        speedup = old_wall / new_wall if new_wall > 0 else float("inf")
+        speedup = old_case["wall_s"] / new_case["wall_s"]
+        probe_ratio = old_case["probe_s"] / new_case["probe_s"]
         rows.append(
             {
                 "case": name,
-                "old_wall_s": old_wall,
-                "new_wall_s": new_wall,
+                "old_wall_s": old_case["wall_s"],
+                "new_wall_s": new_case["wall_s"],
                 "speedup": speedup,
-                "norm_speedup": speedup / index if index > 0 else speedup,
-                "old_events_per_s": old_case.get("events_per_s"),
-                "new_events_per_s": new_case.get("events_per_s"),
+                "probe_ratio": probe_ratio,
+                "norm_speedup": speedup / probe_ratio,
+                "old_events_per_s": old_case["events_per_s"],
+                "new_events_per_s": new_case["events_per_s"],
             }
         )
     return rows
 
 
-def render_comparison(rows: List[Dict[str, object]], index: float) -> str:
+def render_comparison(rows: List[Dict[str, object]]) -> str:
     """The --compare delta table as aligned monospace text."""
     lines = [
-        f"hardware index (new/old dispatch rate): {index:.3f}",
         f"{'case':<32} {'old wall':>10} {'new wall':>10} {'speedup':>8} "
-        f"{'norm':>8}  events/s old -> new",
+        f"{'probe':>7} {'norm':>8}  events/s old -> new",
     ]
     for row in rows:
         old_eps = row["old_events_per_s"]
@@ -434,7 +268,8 @@ def render_comparison(rows: List[Dict[str, object]], index: float) -> str:
         )
         lines.append(
             f"{row['case']:<32} {row['old_wall_s']:>9.3f}s {row['new_wall_s']:>9.3f}s "
-            f"{row['speedup']:>7.2f}x {row['norm_speedup']:>7.2f}x  {eps}"
+            f"{row['speedup']:>7.2f}x {row['probe_ratio']:>6.2f}x "
+            f"{row['norm_speedup']:>7.2f}x  {eps}"
         )
     return "\n".join(lines)
 

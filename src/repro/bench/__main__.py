@@ -1,20 +1,18 @@
-"""CLI: run the declared benchmark suite and compare reports.
+"""CLI: run the declared benchmark suite and gate it against a baseline.
 
 Examples::
 
-    python -m repro.bench                          # full suite, print report
-    python -m repro.bench --out BENCH_PR3.json     # full suite, write JSON
-    python -m repro.bench --quick                  # CI subset (fast cases)
-    python -m repro.bench --only meshgen           # name-filtered subset
-    python -m repro.bench --quick \\
-        --compare BENCH_PR3.json --max-regression 0.30
+    python -m repro.bench                          # run the suite, print report
+    python -m repro.bench --out BENCH_PR21.json    # run the suite, write JSON
+    python -m repro.bench --out bench.json \\
+        --compare BENCH_PR21.json --max-regression 0.30
 
 ``--compare OLD`` prints a delta table of every case present in both
-reports (matched by name + kwargs). With ``--max-regression T`` the
-process exits 1 when any shared case got slower than ``T`` (fractional,
-0.30 = 30 %) after normalising by the engine-dispatch hardware index —
-this is the CI perf gate. ``--compare`` without a fresh run (``--load``)
-diffs two existing files.
+reports (matched by name + kwargs); a baseline of another report schema
+is an input error (exit 2). With ``--max-regression T`` the process
+exits 1 when any shared case got slower than ``T`` (fractional, 0.30 =
+30 %) after normalising it by its own calibration-probe ratio — this is
+the CI perf gate.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import sys
 from repro.bench import (
     compare_reports,
     dump_report,
-    hardware_index,
     load_report,
     regressions,
     render_comparison,
@@ -40,22 +37,7 @@ def main(argv=None) -> int:
         description="Run the repo's declared benchmark suite.",
     )
     parser.add_argument(
-        "--quick", action="store_true", help="run only the fast CI subset"
-    )
-    parser.add_argument(
-        "--only", default=None, metavar="SUBSTR", help="run cases whose name contains SUBSTR"
-    )
-    parser.add_argument(
-        "--repeat", type=int, default=None, help="override per-case repeat count"
-    )
-    parser.add_argument(
         "--out", default=None, metavar="FILE", help="write the report JSON to FILE"
-    )
-    parser.add_argument(
-        "--load",
-        default=None,
-        metavar="FILE",
-        help="skip running; load an existing report as the 'new' side",
     )
     parser.add_argument(
         "--compare",
@@ -69,36 +51,41 @@ def main(argv=None) -> int:
         default=None,
         metavar="FRAC",
         help="with --compare: exit 1 if any case regresses more than FRAC "
-        "(normalised by the dispatch hardware index)",
+        "(each case normalised by its calibration probe)",
     )
     args = parser.parse_args(argv)
+    if args.max_regression is not None and args.compare is None:
+        parser.error("--max-regression needs --compare")
 
-    if args.load is not None:
-        report = load_report(args.load)
-    else:
-        def progress(name, entry):
-            eps = entry.get("events_per_s")
-            rate = f"  {eps:,.0f} events/s" if eps else ""
-            print(f"{name:<32} {entry['wall_s']:>9.3f}s{rate}", file=sys.stderr)
+    # Read the baseline first, so a bad one fails before the suite runs.
+    old = None
+    if args.compare is not None:
+        try:
+            old = load_report(args.compare)
+        except (OSError, ValueError) as error:
+            print(f"--compare: {error}", file=sys.stderr)
+            return 2
 
-        report = run_suite(
-            quick=args.quick, only=args.only, repeat=args.repeat, progress=progress
-        )
+    def progress(name, entry):
+        eps = entry.get("events_per_s")
+        rate = f"  {eps:,.0f} events/s" if eps else ""
+        print(f"{name:<32} {entry['wall_s']:>9.3f}s{rate}", file=sys.stderr)
+
+    report = run_suite(progress=progress)
 
     if args.out is not None:
         dump_report(report, args.out)
         print(f"wrote {args.out} ({len(report['cases'])} case(s))", file=sys.stderr)
-    elif args.load is None and args.compare is None:
+    elif old is None:
         json.dump(report, sys.stdout, sort_keys=True, indent=2)
         print()
 
-    if args.compare is not None:
-        old = load_report(args.compare)
+    if old is not None:
         rows = compare_reports(old, report)
         if not rows:
             print("no comparable cases (names/kwargs differ)", file=sys.stderr)
             return 1
-        print(render_comparison(rows, hardware_index(old, report)))
+        print(render_comparison(rows))
         if args.max_regression is not None:
             bad = regressions(rows, args.max_regression)
             if bad:

@@ -1,12 +1,13 @@
 """Result-store benchmark: insert + streaming-aggregation throughput.
 
-One synthetic 1k-run store, measured end to end: ``put`` every record
-into a :class:`~repro.results.store.SqliteStore`, then run the two
-streaming consumers the store exists for — ``scalars_frame`` (columnar,
-no payload materialisation) and :func:`~repro.results.compare` — over a
+One synthetic store of ``runs`` runs (200 in the suite), measured end
+to end: ``put`` every record into a
+:class:`~repro.results.store.SqliteStore`, then run the two streaming
+consumers the store exists for — ``scalars_frame`` (columnar, no
+payload materialisation) and :func:`~repro.results.compare` — over a
 lazily loaded :class:`~repro.results.ResultSet`. The run payloads are
 two real (tiny) meshgen results cloned across a synthetic seed axis, so
-serialisation cost is representative without simulating 1k times; the
+serialisation cost is representative without simulating every run; the
 reported ``events`` count one unit per insert and per streamed row.
 """
 
@@ -57,6 +58,5 @@ def results_store(runs: int = 1000) -> dict:
 
 #: name -> (callable, kwargs); merged into the micro-case lookup.
 STORE_CASES = {
-    "results.store.n1000": (results_store, {"runs": 1000}),
     "results.store.quick.n200": (results_store, {"runs": 200}),
 }

@@ -470,24 +470,15 @@ def _run_batch(
     telemetry_dir: Optional[str] = None,
     telemetry_interval: float = 1.0,
 ) -> ResultSet:
+    # Every input is checked before the store or the telemetry
+    # directory is created, so an input error leaves nothing behind.
     if jobs < 0:
         raise ParameterValueError("--jobs must be >= 0 (0 = all available cores)")
-    store = open_store(store_path) if store_path else None
+    observed = live or telemetry_dir is not None
+    if observed and telemetry_interval <= 0:
+        raise ParameterValueError("--telemetry-interval must be positive")
     hits = [0]
-
-    hub = None
-    recorder = None
-    table = None
-    if live or telemetry_dir is not None:
-        from repro.telemetry import LiveTable, TelemetryHub, TelemetryRecorder
-
-        if telemetry_interval <= 0:
-            raise ParameterValueError("--telemetry-interval must be positive")
-        hub = TelemetryHub(sample_interval_s=telemetry_interval)
-        if telemetry_dir is not None:
-            recorder = hub.subscribe(TelemetryRecorder(telemetry_dir))
-        if live:
-            table = hub.subscribe(LiveTable(len(requests)))
+    store = hub = recorder = table = None
 
     def on_record(record: RunRecord) -> None:
         hits[0] += record.cached
@@ -497,6 +488,15 @@ def _run_batch(
             _print_record(record)
 
     try:
+        store = open_store(store_path) if store_path else None
+        if observed:
+            from repro.telemetry import LiveTable, TelemetryHub, TelemetryRecorder
+
+            hub = TelemetryHub(sample_interval_s=telemetry_interval)
+            if telemetry_dir is not None:
+                recorder = hub.subscribe(TelemetryRecorder(telemetry_dir))
+            if live:
+                table = hub.subscribe(LiveTable(len(requests)))
         results = execute_requests(
             requests,
             jobs=jobs,

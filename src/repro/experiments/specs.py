@@ -67,8 +67,10 @@ class Param:
 
         Integer kinds take integers only: an integral float becomes its
         int (``3.0`` -> ``3``), and a bool, any other float or any other
-        type is a :class:`ParameterValueError`. Non-string values of the
-        other kinds pass through.
+        type is a :class:`ParameterValueError`. Float kinds take ints
+        and floats but not bools, unchanged (``duration_s=4`` stays
+        ``4``), and ``str`` takes strings only. A sequence kind's
+        non-string value must be a list or tuple of such items.
         """
         if isinstance(value, str):
             try:
@@ -77,18 +79,20 @@ class Param:
                 raise ParameterValueError(
                     f"parameter {self.name!r}: cannot parse {value!r} as {self.kind}"
                 ) from error
+        if self.kind == "str":
+            raise ParameterValueError(
+                f"parameter {self.name!r}: expected a string, got {value!r}"
+            )
         if self.kind == "int":
             return self._integer(value)
-        if self.kind == "ints":
-            if not isinstance(value, (list, tuple)):
-                raise ParameterValueError(
-                    f"parameter {self.name!r}: expected a sequence of integers, "
-                    f"got {value!r}"
-                )
-            return tuple(self._integer(item) for item in value)
-        if self.kind == "floats" and isinstance(value, (list, tuple)):
-            return tuple(value)
-        return value
+        if self.kind == "float":
+            return self._number(value)
+        if not isinstance(value, (list, tuple)):
+            raise ParameterValueError(
+                f"parameter {self.name!r}: expected a list of {self.kind}, got {value!r}"
+            )
+        item = self._integer if self.kind == "ints" else self._number
+        return tuple(item(entry) for entry in value)
 
     def _integer(self, value: object) -> int:
         if isinstance(value, float) and value.is_integer():
@@ -97,6 +101,13 @@ class Param:
             return value
         raise ParameterValueError(
             f"parameter {self.name!r}: expected an integer, got {value!r}"
+        )
+
+    def _number(self, value: object) -> object:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return value
+        raise ParameterValueError(
+            f"parameter {self.name!r}: expected a number, got {value!r}"
         )
 
 

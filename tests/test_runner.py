@@ -99,6 +99,24 @@ class TestSpecs:
         # Float kinds are left alone, so duration_s=4 still exports as 4.
         assert type(meshgen.validate({"duration_s": 4})["duration_s"]) is int
 
+    def test_other_kinds_check_their_values(self):
+        meshgen = get_spec("meshgen")
+        for name, bad in (
+            ("algorithm", 1),
+            ("topology", None),
+            ("duration_s", True),
+            ("loss", 2.5),
+        ):
+            with pytest.raises(ParameterValueError, match=name):
+                meshgen.validate({name: bad})
+        loadsweep = get_spec("loadsweep")
+        for bad in (["a", None], [100.0, True], 100.0):
+            with pytest.raises(ParameterValueError, match="loads_kbps"):
+                loadsweep.validate({"loads_kbps": bad})
+        assert loadsweep.validate({"loads_kbps": [50, 100.0]}) == {
+            "loads_kbps": (50, 100.0)
+        }
+
     def test_integral_float_seed_runs_the_integer_seed(self):
         from repro.results.types import canonical_result_dict
 

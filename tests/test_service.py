@@ -219,6 +219,12 @@ class TestAppRouting:
         assert status == 400 and "seed" in doc["error"]
         assert wsgi_call(app, "GET", "/status")[1]["queue_depth"] == 0
 
+    def test_non_string_algorithm_is_400(self, app):
+        submission = {"experiment": "meshgen", "set": {"algorithm": 1}}
+        status, doc = wsgi_call(app, "POST", "/studies", submission)
+        assert status == 400 and "algorithm" in doc["error"]
+        assert wsgi_call(app, "GET", "/status")[1]["queue_depth"] == 0
+
     def test_submit_queue_cancel(self, app):
         status, doc = wsgi_call(app, "POST", "/studies", stability_doc())
         assert status == 202

@@ -263,6 +263,18 @@ class TestSqliteBackend:
         with pytest.raises(ValueError, match="empty path"):
             open_store("sqlite:")
 
+    def test_input_error_creates_no_store(self, tmp_path, capsys):
+        path = tmp_path / "runs.sqlite"
+        argv = [
+            "sweep", "stability", "--set", "slots=100", "--set", "trials=2",
+            "--store", f"sqlite:{path}",
+            "--telemetry", str(tmp_path / "tel"), "--telemetry-interval", "0",
+        ]
+        assert main(argv) == 2
+        assert "--telemetry-interval" in capsys.readouterr().err
+        assert not path.exists()
+        assert not (tmp_path / "tel").exists()
+
     def test_study_run_accepts_store_urls(self, tmp_path):
         url = f"sqlite:{tmp_path / 'runs.sqlite'}"
         first = Study("stability").set(**FAST).grid(seed=[3]).run(store=url)
