@@ -4,10 +4,11 @@ Run from the repo root::
 
     PYTHONPATH=src python tests/make_goldens.py
 
-The goldens pin the exact bytes of representative exports — four short
+The goldens pin the exact bytes of representative exports — six short
 paper harness runs (the saturated Figure 1 chain, the CBR testbed of
-Table 2, the scenario 2 schedule with its EZ-flow window series, and a
-CBR load sweep) and seven generated-topology (meshgen) runs covering
+Table 2 and the relay buffer series Figure 4 samples on it, the
+scenario 1 and 2 schedules with their EZ-flow window series, and a
+CBR load sweep) and six generated-topology (meshgen) runs covering
 both engine tiers, every adaptive slotted window rule and the dynamic
 loss/churn axes — so any change to
 simulator semantics, RNG draw order, or export formatting shows up as
@@ -36,6 +37,11 @@ GOLDEN_RUNS = (
     # the 4-hop chain driven below and above capacity, so both the
     # enqueue and the full-queue refusal of a CBR tick are pinned.
     ("table2", {"duration_s": 20.0, "warmup_s": 5.0}, "table2_short"),
+    # Figure 4 reads the buffer sampler's series of the runs Table 2
+    # just memoised (same seed and horizon), as `run all` does; scenario
+    # 1 exports Figure 8's window series.
+    ("fig4", {"duration_s": 20.0, "warmup_s": 5.0}, "fig4_short"),
+    ("scenario1", {"time_scale": 0.01}, "scenario1_short"),
     ("scenario2", {"time_scale": 0.004}, "scenario2_short"),
     (
         "loadsweep",
