@@ -22,9 +22,7 @@ from repro.topology.testbed import testbed_network
 def run(ezflow: bool, duration_s: float, seed: int):
     network = testbed_network(seed=seed, flows=("F1", "F2"))
     controllers = attach_ezflow(network.nodes) if ezflow else {}
-    sampler = BufferSampler(
-        network.engine, network.trace, network.nodes, ["N1", "N2", "N4"], 1.0
-    )
+    sampler = BufferSampler(network.engine, network.nodes, ["N1", "N2", "N4"], 1.0)
     sampler.start()
     network.run(until_us=seconds(duration_s))
 

@@ -14,7 +14,7 @@ pair onto every forwarding/source queue of a node stack.
 """
 
 from repro.core.boe import BufferOccupancyEstimator
-from repro.core.caa import CaaConfig, ChannelAccessAdapter
+from repro.core.caa import ChannelAccessAdapter
 from repro.core.config import EZFlowConfig
 from repro.core.controller import EZFlowController, attach_ezflow
 from repro.core.ratecaa import (
@@ -27,7 +27,6 @@ from repro.core.ratecaa import (
 __all__ = [
     "BufferOccupancyEstimator",
     "ChannelAccessAdapter",
-    "CaaConfig",
     "EZFlowConfig",
     "EZFlowController",
     "attach_ezflow",

@@ -28,7 +28,7 @@ from repro.core.config import EZFlowConfig
 
 @dataclass
 class CaaDecision:
-    """Outcome of one 50-sample evaluation (for traces and tests)."""
+    """Outcome of one 50-sample evaluation, passed to each decision callback."""
 
     average: float
     old_cw: int
@@ -39,10 +39,6 @@ class CaaDecision:
     @property
     def changed(self) -> bool:
         return self.new_cw != self.old_cw
-
-
-# Backwards-friendly alias: the adapter's config *is* the EZ-flow config.
-CaaConfig = EZFlowConfig
 
 
 class ChannelAccessAdapter:
@@ -62,7 +58,6 @@ class ChannelAccessAdapter:
         self.countup = 0
         self.countdown = 0
         self._samples: List[int] = []
-        self.decisions: List[CaaDecision] = []
         self.decision_callbacks: List[Callable[[CaaDecision], None]] = []
         self._set_cwmin(self.cw)
 
@@ -107,7 +102,6 @@ class ChannelAccessAdapter:
             countup=self.countup,
             countdown=self.countdown,
         )
-        self.decisions.append(decision)
         for callback in self.decision_callbacks:
             callback(decision)
         return decision

@@ -10,7 +10,9 @@ sent-packet hooks:
   BOE for ``s`` produces a buffer sample, which feeds the CAA;
 * the CAA's decisions are applied to the CWmin of *every* transmit
   entity of this node pointing at ``s`` (own-traffic and forwarding
-  queues share the successor's congestion state).
+  queues share the successor's congestion state), and each decision's
+  window is appended to ``cw_history[s]`` at the engine time it was
+  taken (Figures 8 and 11).
 
 The controller is a pure observer of the MAC — exactly the "independent
 program" deployment model of the paper.
@@ -27,7 +29,7 @@ from repro.mac.dcf import TxEntity
 from repro.mac.frames import Frame, FrameKind
 from repro.net.node import NodeStack
 from repro.net.packet import Packet
-from repro.sim.tracing import TraceRecorder
+from repro.sim.tracing import TimeSeries
 
 NodeId = Hashable
 
@@ -35,17 +37,13 @@ NodeId = Hashable
 class EZFlowController:
     """EZ-flow instance running at one node."""
 
-    def __init__(
-        self,
-        node: NodeStack,
-        config: Optional[EZFlowConfig] = None,
-        trace: Optional[TraceRecorder] = None,
-    ):
+    def __init__(self, node: NodeStack, config: Optional[EZFlowConfig] = None):
         self.node = node
         self.config = config or EZFlowConfig()
-        self.trace = trace if trace is not None else node.trace
         self.boes: Dict[NodeId, BufferOccupancyEstimator] = {}
         self.caas: Dict[NodeId, ChannelAccessAdapter] = {}
+        #: successor -> (engine time, new cw) of every CAA decision.
+        self.cw_history: Dict[NodeId, TimeSeries] = {}
         node.sent_callbacks.append(self._on_packet_sent)
         node.sniffer_callbacks.append(self._on_overheard)
 
@@ -60,14 +58,9 @@ class EZFlowController:
                 initial_cw=self.config.mincw,
             )
             boe.sample_callbacks.append(caa.on_sample)
-            if self.trace is not None:
-                caa.decision_callbacks.append(
-                    lambda d, s=successor: self.trace.record(
-                        f"ezflow.node{self.node.node_id}.to{s}.cw",
-                        self.node.engine.now,
-                        d.new_cw,
-                    )
-                )
+            history = self.cw_history[successor] = TimeSeries()
+            engine = self.node.engine
+            caa.decision_callbacks.append(lambda d: history.append(engine.now, d.new_cw))
             self.boes[successor] = boe
             self.caas[successor] = caa
         return self.boes[successor], self.caas[successor]
@@ -96,12 +89,7 @@ class EZFlowController:
         successor = frame.src
         if successor not in self.boes:
             return  # not one of our successors
-        boe = self.boes[successor]
-        estimate = boe.note_overheard(frame.packet.checksum)
-        if estimate is not None and self.trace is not None:
-            self.trace.record(
-                f"boe.est.node{self.node.node_id}.to{successor}", now, estimate
-            )
+        self.boes[successor].note_overheard(frame.packet.checksum)
 
     # -- introspection ---------------------------------------------------------
 

@@ -234,12 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="derive a distinct seed per run from this base",
     )
     sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted sweep from --store (requires --store; "
-        "already-checkpointed runs are reported as cache hits)",
-    )
-    sweep.add_argument(
         "--live",
         action="store_true",
         help="render an in-place live progress table on stderr "
@@ -601,16 +595,13 @@ def _build_study(spec: ScenarioSpec, args, aligned_seeds: bool = False) -> Study
 
 def cmd_sweep(args) -> int:
     spec = get_spec(args.experiment)
-    if args.resume and not args.store:
-        raise ParameterValueError("--resume requires --store URL")
     # Scenario default axes (e.g. meshgen's topology kinds) expand
     # unless the CLI pinned them — the Study builder applies that rule.
     study = _build_study(spec, args)
     requests = study.requests()
     print(
         f"sweep {spec.id}: {len(requests)} run(s) "
-        f"({len(study.axes())} axis/axes, {args.replicates} replicate(s))"
-        + (" [resuming]" if args.resume else ""),
+        f"({len(study.axes())} axis/axes, {args.replicates} replicate(s))",
         file=sys.stderr,
     )
     policy, run_timeout, faults = _fault_options(args)

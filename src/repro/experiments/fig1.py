@@ -46,12 +46,9 @@ def run(
             hops=hops,
             seed=seed,
             sense_range_m=TESTBED_SENSE_M,
-            trace_exports=("buffer.",),
         )
         relays = list(range(1, hops))
-        sampler = BufferSampler(
-            network.engine, network.trace, network.nodes, relays, sample_interval_s
-        )
+        sampler = BufferSampler(network.engine, network.nodes, relays, sample_interval_s)
         sampler.start()
         network.run(until_us=seconds(duration_s))
         result.note_runtime(network.engine)

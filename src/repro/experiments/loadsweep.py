@@ -46,7 +46,6 @@ def run(
                 seed=seed,
                 saturated=False,
                 rate_bps=load * 1000.0,
-                trace_exports=(),
             )
             if ezflow:
                 attach_ezflow(network.nodes)

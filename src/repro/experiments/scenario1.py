@@ -71,9 +71,7 @@ def run(
         ["ezflow", "node", "successor", "cw"],
     )
     for ezflow in (False, True):
-        network = scenario1_network(
-            seed=seed, time_scale=time_scale, trace_exports=("ezflow.",)
-        )
+        network = scenario1_network(seed=seed, time_scale=time_scale)
         controllers = attach_ezflow(network.nodes) if ezflow else {}
         network.run(until_us=seconds(F1_STOP_S * time_scale))
         result.note_runtime(network.engine)
@@ -109,8 +107,7 @@ def run(
             for node_id, controller in sorted(controllers.items(), key=lambda kv: str(kv[0])):
                 for successor, caa in controller.caas.items():
                     cw_table.add("on", node_id, successor, caa.cw)
-                    key = f"ezflow.node{node_id}.to{successor}.cw"
-                    series = network.trace.get(key)
+                    series = controller.cw_history[successor]
                     if len(series):
                         result.series[f"fig8.cw.node{node_id}"] = [
                             (t / 1e6, v) for t, v in series

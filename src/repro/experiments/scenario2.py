@@ -93,9 +93,7 @@ def run(
         ["ezflow", "node", "successor", "cw"],
     )
     for ezflow in (False, True):
-        network = scenario2_network(
-            seed=seed, time_scale=time_scale, trace_exports=("ezflow.",)
-        )
+        network = scenario2_network(seed=seed, time_scale=time_scale)
         controllers = attach_ezflow(network.nodes) if ezflow else {}
         network.run(until_us=seconds(F1_STOP_S * time_scale))
         result.note_runtime(network.engine)
@@ -146,8 +144,7 @@ def run(
                     continue
                 for successor, caa in controller.caas.items():
                     cw_table.add("on", node_id, successor, caa.cw)
-                    key = f"ezflow.node{node_id}.to{successor}.cw"
-                    series = network.trace.get(key)
+                    series = controller.cw_history[successor]
                     if len(series):
                         result.series[f"fig11.cw.node{node_id}"] = [
                             (t / 1e6, v) for t, v in series

@@ -43,7 +43,7 @@ def run(
     best = max(TESTBED_LINK_RATES_KBPS)
     for i, paper_rate in enumerate(TESTBED_LINK_RATES_KBPS):
         src, dst = CHAIN[i], CHAIN[i + 1]
-        network = build_network(testbed_connectivity(), seed=seed + i, trace_exports=())
+        network = build_network(testbed_connectivity(), seed=seed + i)
         network.channel.set_link_loss(src, dst, _erasure_for_rate(paper_rate, best))
         network.routing.install_path([src, dst])
         flow = Flow(f"l{i}", src=src, dst=dst)

@@ -75,16 +75,10 @@ def testbed_simulation(
     if run is not None:
         _cache.move_to_end(key)
         return run
-    network = testbed_network(seed=seed, flows=tuple(flows), trace_exports=("buffer.",))
+    network = testbed_network(seed=seed, flows=tuple(flows))
     if ezflow:
         attach_ezflow(network.nodes)
-    sampler = BufferSampler(
-        network.engine,
-        network.trace,
-        network.nodes,
-        RELAY_NODES,
-        sample_interval_s,
-    )
+    sampler = BufferSampler(network.engine, network.nodes, RELAY_NODES, sample_interval_s)
     sampler.start()
     network.run(until_us=seconds(duration_s))
     run = TestbedRun(

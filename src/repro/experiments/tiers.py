@@ -242,11 +242,7 @@ def _materialise_queues(network, topo, attached) -> None:
 
 def run_event(ir: MeshScenarioIR) -> ExperimentResult:
     """Execute ``ir`` on the event core (``fidelity=event``)."""
-    # This harness only reads the buffer sampler's series; declaring
-    # that collapses every other counter/series (per-queue occupancy,
-    # MAC/PHY counters, controller telemetry) to recording no-ops —
-    # tracing is write-only, so exports stay byte-identical.
-    network, topo = build_mesh_network(ir.mesh_spec, trace_exports=("buffer.",))
+    network, topo = build_mesh_network(ir.mesh_spec)
     sources = sample_flow_sources(topo, ir.flows, network.rng)
     endpoints = [(src, topo.nearest[src]) for src in sources]
     attached = attach_workload(
@@ -275,7 +271,7 @@ def run_event(ir: MeshScenarioIR) -> ExperimentResult:
         churn_driver = ChurnDriver(network, ir.churn_schedule, loss_spec=ir.loss_spec)
         churn_driver.install()
 
-    sampler = BufferSampler(network.engine, network.trace, network.nodes)
+    sampler = BufferSampler(network.engine, network.nodes)
     sampler.start()
     session = current_probe()
     if session is None:

@@ -26,7 +26,6 @@ from repro.phy.channel import Channel, PhyListener
 from repro.phy.rates import DSSS_1MBPS, PhyRates
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import TraceRecorder, _noop
 
 NodeId = Hashable
 
@@ -220,7 +219,6 @@ class TxEntity:
 
     def on_ack_timeout(self) -> None:
         """No ACK arrived: collision or loss on the link."""
-        self.dcf._bump_ack_timeouts()
         self._on_failure()
 
     def _on_failure(self) -> None:
@@ -274,7 +272,6 @@ class Dcf(PhyListener):
         node_id: NodeId,
         config: Optional[DcfConfig] = None,
         rng: Optional[RngRegistry] = None,
-        trace: Optional[TraceRecorder] = None,
     ):
         self.engine = engine
         self.channel = channel
@@ -282,19 +279,6 @@ class Dcf(PhyListener):
         self.config = config or DcfConfig()
         registry = rng or RngRegistry(0)
         self.rng = registry.stream(f"mac.{node_id}")
-        self.trace = trace
-        # Pre-bound counter hooks: shared no-ops when tracing is off or
-        # the experiment declared the MAC counters unconsumed.
-        if trace is None:
-            hook = lambda key: _noop  # noqa: E731
-        else:
-            hook = trace.counter_hook
-        self._bump_ack_timeouts = hook("mac.ack_timeouts")
-        self._bump_data_tx = hook("mac.data_tx")
-        self._bump_tx_success = hook("mac.tx_success")
-        self._bump_tx_drop = hook("mac.tx_drop")
-        self._bump_duplicates = hook("mac.duplicates")
-        self._bump_ack_tx = hook("mac.ack_tx")
         self.entities: List[TxEntity] = []
         # Plan partition (PhyListener.medium_watchers): alias the live
         # entity list, so a node with no transmit queues (pure sink or
@@ -350,20 +334,6 @@ class Dcf(PhyListener):
 
     # -- medium state -----------------------------------------------------
 
-    def medium_idle(self) -> bool:
-        """True when this node senses no carrier and is not transmitting."""
-        port = self._port
-        return not port.sensed and port.own_tx is None
-
-    def radio_busy(self) -> bool:
-        """True while a data/ACK exchange of this node is outstanding.
-
-        Guards against a second entity seizing the radio between the
-        end of a data frame and its (possibly lost) ACK, which would
-        orphan the first entity's exchange state.
-        """
-        return self._transmitting_entity is not None
-
     def current_ifs_us(self) -> int:
         """DIFS normally, EIFS after a reception error (802.11 rule)."""
         rates = self.config.rates
@@ -392,7 +362,6 @@ class Dcf(PhyListener):
         self._transmitting_entity = entity
         self._awaiting_ack_from = entity.successor
         self.channel.transmit(self.node_id, frame, duration)
-        self._bump_data_tx()
         # Suspend every other entity: our own transmission occupies the radio.
         for other in self.entities:
             if other is not entity and other.fire_armed:
@@ -425,13 +394,11 @@ class Dcf(PhyListener):
 
     def notify_tx_success(self, entity: TxEntity, packet, frame: Frame) -> None:
         """Propagate a confirmed (ACKed) handoff to the upper layer."""
-        self._bump_tx_success()
         if self.on_tx_success is not None:
             self.on_tx_success(entity, packet, frame)
 
     def notify_tx_drop(self, entity: TxEntity, packet) -> None:
         """Propagate a retry-limit drop to the upper layer."""
-        self._bump_tx_drop()
         if self.on_tx_drop is not None:
             self.on_tx_drop(entity, packet)
 
@@ -494,7 +461,6 @@ class Dcf(PhyListener):
         self._send_ack(frame)
         self._use_eifs = False
         if self._dedup.seen((frame.src, frame.seq)):
-            self._bump_duplicates()
             return
         if self.on_data_received is not None:
             self.on_data_received(frame, now)
@@ -536,7 +502,6 @@ class Dcf(PhyListener):
     def _do_send_ack(self, ack: Frame, duration: int) -> None:
         if self._port.own_tx is None:
             self.channel.transmit(self.node_id, ack, duration)
-            self._bump_ack_tx()
 
     def on_frame_overheard(self, frame: Frame, now: int) -> None:
         self._use_eifs = False

@@ -1,16 +1,15 @@
 """Drop-tail FIFO interface queues.
 
 The paper's hardware has 50-packet MAC buffers; every queue here defaults
-to that capacity. Occupancy is traced so buffer-evolution figures
-(Figures 1 and 4) can be regenerated.
+to that capacity. A queue counts what it enqueues, drops and dequeues;
+the buffer-evolution figures (Figures 1 and 4) sample node occupancy
+through :class:`~repro.metrics.sampling.BufferSampler`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
-
-from repro.sim.tracing import TimeSeries, TraceRecorder, _noop
+from typing import Deque
 
 DEFAULT_CAPACITY = 50
 
@@ -22,37 +21,15 @@ class QueueDropError(Exception):
 class FifoQueue:
     """Bounded FIFO with drop-tail semantics and occupancy accounting."""
 
-    def __init__(
-        self,
-        name: str = "queue",
-        capacity: int = DEFAULT_CAPACITY,
-        trace: Optional[TraceRecorder] = None,
-        engine=None,
-    ):
+    def __init__(self, name: str = "queue", capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.name = name
         self.capacity = capacity
-        self.trace = trace
-        self.engine = engine
         self._items: Deque = deque()
         self.enqueued = 0
         self.dropped = 0
         self.dequeued = 0
-        # Occupancy is recorded on every push/pop; resolve the series
-        # and key once instead of formatting/looking them up per packet.
-        # Both collapse to nothing when the experiment declared it does
-        # not consume per-queue instrumentation.
-        self._drop_key = f"{name}.drops"
-        self._bump_drop = _noop if trace is None else trace.counter_hook(self._drop_key)
-        if (
-            trace is not None
-            and engine is not None
-            and trace.wants(f"{name}.occupancy")
-        ):
-            self._occupancy = trace.series.setdefault(f"{name}.occupancy", TimeSeries())
-        else:
-            self._occupancy = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -77,30 +54,17 @@ class FifoQueue:
         """
         if len(self._items) >= self.capacity:
             self.dropped += 1
-            self._bump_drop()
             if strict:
                 raise QueueDropError(f"{self.name} full (capacity {self.capacity})")
             return False
-        items = self._items
-        items.append(item)
+        self._items.append(item)
         self.enqueued += 1
-        series = self._occupancy
-        if series is not None:
-            # Inlined TimeSeries.append: engine time is monotone, so the
-            # ordering check is redundant on this per-packet path.
-            series.times.append(self.engine.now)
-            series.values.append(len(items))
         return True
 
     def pop(self):
         """Remove and return the head item (raises IndexError when empty)."""
-        items = self._items
-        item = items.popleft()
+        item = self._items.popleft()
         self.dequeued += 1
-        series = self._occupancy
-        if series is not None:
-            series.times.append(self.engine.now)
-            series.values.append(len(items))
         return item
 
     def peek(self):

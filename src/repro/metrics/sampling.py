@@ -1,8 +1,8 @@
 """Periodic buffer-occupancy sampling (Figures 1 and 4).
 
 The paper plots instantaneous relay-buffer occupancy over time. The
-sampler polls chosen node stacks on a fixed cadence and records the
-series under ``buffer.node<id>``.
+sampler polls chosen node stacks on a fixed cadence and keeps one
+series per node in ``series``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Dict, Hashable, Iterable, List, Optional
 
 from repro.net.node import NodeStack
 from repro.sim.engine import Engine
-from repro.sim.tracing import TraceRecorder
+from repro.sim.tracing import TimeSeries
 from repro.sim.units import seconds
 
 
@@ -21,18 +21,19 @@ class BufferSampler:
     def __init__(
         self,
         engine: Engine,
-        trace: TraceRecorder,
         nodes: Dict[Hashable, NodeStack],
         node_ids: Optional[Iterable[Hashable]] = None,
         interval_s: float = 1.0,
         forwarding_only: bool = False,
     ):
         self.engine = engine
-        self.trace = trace
         self.nodes = nodes
         self.node_ids = list(node_ids) if node_ids is not None else list(nodes)
         self.interval_us = seconds(interval_s)
         self.forwarding_only = forwarding_only
+        self.series: Dict[Hashable, TimeSeries] = {
+            node_id: TimeSeries() for node_id in self.node_ids
+        }
         self._started = False
         self._probes: List = []
 
@@ -43,31 +44,26 @@ class BufferSampler:
         re-pushes the sampler after each firing with a fresh sequence
         number, which is ordering-identical to the callback re-posting
         itself (same ``(time, seq)`` stream, no RNG interaction) but
-        skips a Python-level ``post`` per period. Per-node series
-        writers are pre-bound once; nodes whose series the experiment
-        does not consume collapse to shared no-ops.
+        skips a Python-level ``post`` per period.
         """
         if self._started:
             raise RuntimeError("sampler already started")
         self._started = True
-        self._probes = [
-            (self.nodes[node_id], self.trace.series_hook(f"buffer.node{node_id}"))
-            for node_id in self.node_ids
-        ]
+        self._probes = [(self.nodes[n], self.series[n]) for n in self.node_ids]
         self.engine.post_periodic(0, self.interval_us, self._sample)
 
     def _sample(self) -> None:
         now = self.engine.now
         if self.forwarding_only:
-            for stack, append in self._probes:
-                append(now, stack.forwarding_occupancy())
+            for stack, series in self._probes:
+                series.append(now, stack.forwarding_occupancy())
         else:
-            for stack, append in self._probes:
-                append(now, stack.total_buffer_occupancy())
+            for stack, series in self._probes:
+                series.append(now, stack.total_buffer_occupancy())
 
-    def series_for(self, node_id: Hashable):
-        """The recorded occupancy series of one node."""
-        return self.trace.get(f"buffer.node{node_id}")
+    def series_for(self, node_id: Hashable) -> TimeSeries:
+        """The recorded occupancy series of one sampled node."""
+        return self.series[node_id]
 
     def mean_occupancy(self, node_id: Hashable, start_us: int, end_us: int) -> float:
         """Average sampled occupancy over a window (Fig 4 caption numbers)."""

@@ -24,7 +24,6 @@ from repro.net.routing import StaticRouting
 from repro.phy.channel import Channel
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import TraceRecorder, _noop
 
 NodeId = Hashable
 
@@ -93,22 +92,16 @@ class NodeStack:
         node_id: NodeId,
         mac_config: Optional[DcfConfig] = None,
         rng: Optional[RngRegistry] = None,
-        trace: Optional[TraceRecorder] = None,
         queue_capacity: int = DEFAULT_CAPACITY,
     ):
         self.engine = engine
         self.channel = channel
         self.routing = routing
         self.node_id = node_id
-        self.trace = trace
-        self._bump_mac_drops = (
-            _noop if trace is None else trace.counter_hook(f"node{node_id}.mac_drops")
-        )
         self.queue_capacity = queue_capacity
-        self.mac = Dcf(engine, channel, node_id, mac_config, rng, trace)
+        self.mac = Dcf(engine, channel, node_id, mac_config, rng)
         self.mac.on_data_received = self._on_data_received
         self.mac.on_tx_success = self._on_tx_success
-        self.mac.on_tx_drop = self._on_tx_drop
         # (kind, successor) -> (queue, entity)
         self._queues: Dict[Tuple[str, NodeId], Tuple[FifoQueue, TxEntity]] = {}
         self._flows: Dict[Hashable, Flow] = {}
@@ -144,7 +137,7 @@ class NodeStack:
         key = (kind, successor)
         if key not in self._queues:
             name = f"node{self.node_id}.{kind}.to{successor}"
-            queue = FifoQueue(name, self.queue_capacity, self.trace, self.engine)
+            queue = FifoQueue(name, self.queue_capacity)
             entity = self.mac.add_entity(name, queue, successor)
             self._queues[key] = (queue, entity)
         return self._queues[key]
@@ -152,10 +145,6 @@ class NodeStack:
     def queues(self) -> Dict[Tuple[str, NodeId], Tuple[FifoQueue, TxEntity]]:
         """Snapshot of all (kind, successor) -> (queue, entity) pairs."""
         return dict(self._queues)
-
-    def forwarding_queue(self, successor: NodeId) -> FifoQueue:
-        """The relay queue toward ``successor`` (created on first use)."""
-        return self.queue_for(FWD, successor)[0]
 
     def total_buffer_occupancy(self) -> int:
         """Packets waiting in all queues of this node (Figures 1 and 4)."""
@@ -241,6 +230,3 @@ class NodeStack:
             packet.first_tx_at = now
         for callback in self.sent_callbacks:
             callback(entity, packet, frame, now)
-
-    def _on_tx_drop(self, entity: TxEntity, packet: Packet) -> None:
-        self._bump_mac_drops()

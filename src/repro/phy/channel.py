@@ -49,7 +49,6 @@ from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 from repro.phy.connectivity import ConnectivityMap, NodeId
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import TraceRecorder, _noop
 
 
 def _drain(iterator) -> None:
@@ -161,23 +160,11 @@ class Channel:
         engine: Engine,
         connectivity: ConnectivityMap,
         rng: RngRegistry,
-        trace: Optional[TraceRecorder] = None,
         capture_ratio: float = DEFAULT_CAPTURE_RATIO,
     ):
         self.engine = engine
         self.connectivity = connectivity
         self.rng = rng.stream("phy.erasures")
-        self.trace = trace
-        # Counter hooks pre-bound once: a no-op when tracing is off or
-        # the experiment declared it does not consume the PHY counters.
-        if trace is None:
-            self._bump_tx_started = _noop
-            self._bump_rx_ok = _noop
-            self._bump_rx_error = _noop
-        else:
-            self._bump_tx_started = trace.counter_hook("phy.tx_started")
-            self._bump_rx_ok = trace.counter_hook("phy.rx_ok")
-            self._bump_rx_error = trace.counter_hook("phy.rx_error")
         if capture_ratio < 1.0:
             raise ValueError("capture_ratio must be >= 1 (linear SIR)")
         self.capture_ratio = capture_ratio
@@ -473,7 +460,6 @@ class Channel:
         tx = Transmission(sender, frame, now, now + duration_us)
         sender_port.own_tx = tx
         self.active_transmissions.append(tx)
-        self._bump_tx_started()
 
         corrupted = None
         plans = self._plans.get(sender)
@@ -565,8 +551,6 @@ class Channel:
         self.active_transmissions.remove(tx)
 
         rng_random = self.rng.random
-        bump_rx_ok = self._bump_rx_ok
-        bump_rx_error = self._bump_rx_error
         corrupted = tx.corrupted_at
         frame = tx.frame
         dst = frame.dst
@@ -601,7 +585,6 @@ class Channel:
                     decodable = False
             if decodable:
                 if dst == node:
-                    bump_rx_ok()
                     on_rx(frame, now)
                 elif not miss or rng_random() >= miss:
                     on_over(frame, now)
@@ -610,7 +593,6 @@ class Channel:
                 # saw a frame but could not decode it -> EIFS applies.
                 # Sense-only signals merely occupy the medium (no PLCP
                 # decode is attempted), matching ns-2's behaviour.
-                bump_rx_error()
                 on_err(now)
             if not sensed and port.own_tx is None and port.contending:
                 on_idle(now)

@@ -21,7 +21,7 @@ lives here (see EXPERIMENTS.md, "Programmatic API"):
   one place for results to live, keyed by content ``(spec id,
   canonical params, seed)``: sweeps checkpoint into the store as runs
   finish, resume after a kill, and dedupe identical requests into cache
-  hits (``Study(...).run(store=...)``, the CLI's ``--store``/``--resume``).
+  hits (``Study(...).run(store=...)``, the CLI's ``--store``).
 * :class:`ErrorPolicy` / :class:`RunFailure` / :class:`FaultPlan` —
   fault-tolerant sweep execution: per-run failure isolation with
   retries and timeouts (``Study(...).run(on_error="continue")``, the

@@ -2,8 +2,8 @@
 
 The engine is deliberately small: a monotonically increasing integer clock
 (microsecond ticks), a binary-heap event queue, named deterministic RNG
-streams, and a trace recorder. Everything above it (PHY, MAC, traffic,
-EZ-flow) is built from scheduled callbacks.
+streams, and an append-only time series. Everything above it (PHY, MAC,
+traffic, EZ-flow) is built from scheduled callbacks.
 
 :mod:`repro.sim.slotted` is the other execution core: one contention
 phase per calibrated slot over the same connectivity maps. The meshgen
@@ -13,7 +13,7 @@ family runs a scenario on either, by its ``fidelity`` axis (see
 
 from repro.sim.engine import Engine, Event, SimTimeError
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import TraceRecorder, TimeSeries
+from repro.sim.tracing import TimeSeries
 from repro.sim.units import (
     US_PER_S,
     US_PER_MS,
@@ -28,7 +28,6 @@ __all__ = [
     "Event",
     "SimTimeError",
     "RngRegistry",
-    "TraceRecorder",
     "TimeSeries",
     "US_PER_S",
     "US_PER_MS",

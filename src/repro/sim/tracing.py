@@ -1,31 +1,18 @@
-"""Trace collection.
+"""Recorded time series.
 
 ``TimeSeries`` is an append-only (time, value) series with helpers for
-windowed rates and time averages. ``TraceRecorder`` is a keyed collection
-of series plus scalar counters, shared by the MAC/PHY/metrics layers.
-
-Experiments that only consume a subset of the instrumentation can
-declare it (``exports=`` key prefixes): recording for every other key
-becomes a no-op, and the hot layers (channel, MAC, queues, samplers)
-pre-bind their recording callables via :meth:`TraceRecorder.counter_hook`
-/ :meth:`TraceRecorder.series_hook`, so an unconsumed counter or series
-costs a single no-op call per event instead of dict traffic and list
-appends. Tracing is write-only telemetry — no simulator decision reads
-it back — so restricting it cannot change simulation behaviour, only
-shed overhead.
+windowed rates and time averages. Each recorded quantity lives with the
+object that produces it: a flow keeps its delivery series, the buffer
+sampler one series per sampled node, and the EZ-flow controller one
+window history per successor.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.sim.units import US_PER_S
-
-
-def _noop(*_args) -> None:
-    """Shared sink for recording hooks of undeclared keys."""
 
 
 class TimeSeries:
@@ -123,93 +110,3 @@ class TimeSeries:
             out.append((center_s, total / width_s if width_s > 0 else 0.0))
             t = hi
         return out
-
-
-class TraceRecorder:
-    """Keyed time series and counters for one simulation run.
-
-    ``exports`` (optional) declares the key *prefixes* the experiment
-    consumes — e.g. ``("buffer.",)`` for a harness that only reads the
-    buffer sampler's series. ``None`` (the default) records everything,
-    which is the safe choice and what every canned figure uses. When a
-    restriction is set, :meth:`record`/:meth:`bump` on undeclared keys
-    are no-ops and the pre-bound hooks collapse to a shared no-op.
-    """
-
-    def __init__(self, exports: Optional[Sequence[str]] = None):
-        self.series: Dict[str, TimeSeries] = {}
-        self.counters: Dict[str, float] = defaultdict(float)
-        self._exports: Optional[Tuple[str, ...]] = (
-            None if exports is None else tuple(exports)
-        )
-
-    def wants(self, key: str) -> bool:
-        """True when ``key`` is consumed (matches a declared prefix)."""
-        exports = self._exports
-        if exports is None:
-            return True
-        for prefix in exports:
-            if key.startswith(prefix):
-                return True
-        return False
-
-    def record(self, key: str, time: int, value: float) -> None:
-        """Append a sample to the series ``key`` (created on first use)."""
-        if self._exports is not None and not self.wants(key):
-            return
-        series = self.series.get(key)
-        if series is None:
-            series = self.series[key] = TimeSeries()
-        series.append(time, value)
-
-    def bump(self, key: str, amount: float = 1.0) -> None:
-        """Increment the scalar counter ``key``."""
-        if self._exports is not None and not self.wants(key):
-            return
-        self.counters[key] += amount
-
-    def counter_hook(self, key: str) -> Callable[..., None]:
-        """A pre-bound increment callable for one counter key.
-
-        Hot layers resolve this once at wiring time and call it
-        unconditionally per event; for undeclared keys it is a shared
-        no-op, making unconsumed instrumentation cost ~zero.
-        """
-        if not self.wants(key):
-            return _noop
-        counters = self.counters
-
-        def bump(amount: float = 1.0, _counters=counters, _key=key) -> None:
-            _counters[_key] += amount
-
-        return bump
-
-    def series_hook(self, key: str) -> Callable[[int, float], None]:
-        """A pre-bound append callable for one series key.
-
-        The returned callable skips the monotone-time check — it is for
-        writers driven by the engine clock (samplers, queues), whose
-        timestamps are non-decreasing by construction. For undeclared
-        keys it is a shared no-op.
-        """
-        if not self.wants(key):
-            return _noop
-        series = self.series.get(key)
-        if series is None:
-            series = self.series[key] = TimeSeries()
-        times = series.times
-        values = series.values
-
-        def append(time: int, value: float, _times=times, _values=values) -> None:
-            _times.append(time)
-            _values.append(value)
-
-        return append
-
-    def get(self, key: str) -> TimeSeries:
-        """Return the series for ``key`` (empty series if never recorded)."""
-        return self.series.get(key, TimeSeries())
-
-    def counter(self, key: str) -> float:
-        """Current value of the scalar counter ``key`` (0.0 if unset)."""
-        return self.counters.get(key, 0.0)

@@ -1,7 +1,7 @@
 """Shared network container and construction helpers.
 
 ``Network`` bundles everything one simulation run needs: engine, channel,
-routing, node stacks, flows, sources, traces. Topology modules return a
+routing, node stacks, flows, sources. Topology modules return a
 fully wired ``Network``; experiment harnesses then optionally attach
 EZ-flow (or a baseline) and run it.
 """
@@ -19,7 +19,6 @@ from repro.phy.channel import Channel
 from repro.phy.connectivity import ConnectivityMap
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import TraceRecorder
 
 NodeId = Hashable
 
@@ -34,7 +33,6 @@ class Network:
     nodes: Dict[NodeId, NodeStack]
     flows: Dict[Hashable, Flow]
     sources: List[object]
-    trace: TraceRecorder
     rng: RngRegistry
     connectivity: ConnectivityMap
     description: str = ""
@@ -65,21 +63,11 @@ def build_network(
     seed: int = 0,
     mac_config: Optional[DcfConfig] = None,
     description: str = "",
-    trace_exports: Optional[Tuple[str, ...]] = None,
 ) -> Network:
-    """Instantiate engine, channel and one stack per connectivity node.
-
-    ``trace_exports`` optionally declares the trace-key prefixes the
-    caller's experiment consumes (see
-    :class:`~repro.sim.tracing.TraceRecorder`); everything else becomes
-    a recording no-op. ``None`` records all instrumentation — the safe
-    default every canned figure uses. Tracing is write-only telemetry,
-    so the restriction changes run speed, never run behaviour.
-    """
+    """Instantiate engine, channel and one stack per connectivity node."""
     engine = Engine()
     rng = RngRegistry(seed)
-    trace = TraceRecorder(exports=trace_exports)
-    channel = Channel(engine, connectivity, rng, trace)
+    channel = Channel(engine, connectivity, rng)
     routing = StaticRouting()
     nodes: Dict[NodeId, NodeStack] = {}
     for node_id in sorted(connectivity.nodes(), key=str):
@@ -90,7 +78,6 @@ def build_network(
             node_id,
             mac_config=mac_config,
             rng=rng,
-            trace=trace,
         )
     return Network(
         engine=engine,
@@ -99,7 +86,6 @@ def build_network(
         nodes=nodes,
         flows={},
         sources=[],
-        trace=trace,
         rng=rng,
         connectivity=connectivity,
         description=description,

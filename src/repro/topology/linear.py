@@ -7,7 +7,7 @@ under standard 802.11, 3-hop chains are stable.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.mac.dcf import DcfConfig
 from repro.net.flow import Flow
@@ -29,7 +29,6 @@ def linear_chain(
     start_s: float = 0.0,
     stop_s: Optional[float] = None,
     sense_range_m: float = 550.0,
-    trace_exports: Optional[Tuple[str, ...]] = None,
 ) -> Network:
     """Build a K-hop chain with one flow 0 -> K.
 
@@ -43,10 +42,6 @@ def linear_chain(
     e.g. links 0 and 3 can fire in parallel) and the one that best
     matches the testbed's 3-hop-stable / 4-hop-turbulent contrast of
     Figure 1.
-
-    ``trace_exports`` declares the trace-key prefixes the caller reads
-    (see :func:`~repro.topology.builders.build_network`); ``None``
-    records everything.
     """
     if hops < 1:
         raise ValueError("need at least one hop")
@@ -58,7 +53,6 @@ def linear_chain(
         seed=seed,
         mac_config=mac_config,
         description=f"linear {hops}-hop chain, {spacing_m:.0f} m spacing",
-        trace_exports=trace_exports,
     )
     path = list(range(node_count))
     network.routing.install_path(path)

@@ -379,7 +379,6 @@ def _generate(spec: MeshSpec) -> MeshTopology:
 def build_mesh_network(
     spec: MeshSpec,
     mac_config: Optional[DcfConfig] = None,
-    trace_exports: Optional[Tuple[str, ...]] = None,
 ) -> Tuple[Network, MeshTopology]:
     """Instantiate a fully wired :class:`Network` for a generated layout.
 
@@ -398,7 +397,6 @@ def build_mesh_network(
             f"generated {spec.kind}: {spec.nodes} nodes, "
             f"{len(topology.gateways)} gateway(s), seed {spec.seed}"
         ),
-        trace_exports=trace_exports,
     )
     for gateway in topology.gateways:
         parents = topology.parents[gateway]

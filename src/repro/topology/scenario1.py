@@ -57,16 +57,12 @@ def scenario1_network(
     time_scale: float = 1.0,
     mac_config: Optional[DcfConfig] = None,
     spacing_m: float = 200.0,
-    trace_exports: Optional[Tuple[str, ...]] = None,
 ) -> Network:
     """Build scenario 1 with the paper's flow schedule.
 
     ``time_scale`` compresses the schedule (0.1 turns the 2504 s run
     into 250.4 s) so the full three-period structure — F1 alone, both
     flows, F1 alone again — survives in shorter reproductions.
-    ``trace_exports`` declares the trace-key prefixes the caller reads
-    (see :func:`~repro.topology.builders.build_network`); ``None``
-    records everything.
     """
     if time_scale <= 0:
         raise ValueError("time_scale must be positive")
@@ -76,7 +72,6 @@ def scenario1_network(
         seed=seed,
         mac_config=mac_config,
         description="scenario 1: two 8-hop flows merging at a gateway (Figure 5)",
-        trace_exports=trace_exports,
     )
     network.routing.install_path(F1_PATH)
     network.routing.install_path(F2_PATH)

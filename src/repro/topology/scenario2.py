@@ -71,14 +71,8 @@ def scenario2_network(
     time_scale: float = 1.0,
     mac_config: Optional[DcfConfig] = None,
     spacing_m: float = 200.0,
-    trace_exports: Optional[Tuple[str, ...]] = None,
 ) -> Network:
-    """Build scenario 2 with the paper's three-period flow schedule.
-
-    ``trace_exports`` declares the trace-key prefixes the caller reads
-    (see :func:`~repro.topology.builders.build_network`); ``None``
-    records everything.
-    """
+    """Build scenario 2 with the paper's three-period flow schedule."""
     if time_scale <= 0:
         raise ValueError("time_scale must be positive")
     connectivity = GeometricConnectivity(scenario2_positions(spacing_m), RangeModel())
@@ -87,7 +81,6 @@ def scenario2_network(
         seed=seed,
         mac_config=mac_config,
         description="scenario 2: three crossing flows with hidden sources (Figure 9)",
-        trace_exports=trace_exports,
     )
     network.routing.install_path(F1_PATH)
     network.routing.install_path(F2_PATH)

@@ -79,15 +79,11 @@ def testbed_network(
     lossy_links: bool = True,
     f1_start_s: float = 0.0,
     f2_start_s: float = 0.0,
-    trace_exports: Optional[Tuple[str, ...]] = None,
 ) -> Network:
     """Build the testbed with any subset of {F1, F2} active.
 
     ``hw_cw_cap`` models the Madwifi limitation; pass None to lift it
     (the paper's "once this limitation is removed" simulation check).
-    ``trace_exports`` declares the trace-key prefixes the caller reads
-    (see :func:`~repro.topology.builders.build_network`); ``None``
-    records everything.
     """
     unknown = set(flows) - {"F1", "F2"}
     if unknown:
@@ -98,7 +94,6 @@ def testbed_network(
         seed=seed,
         mac_config=mac_config,
         description="9-node testbed (Figure 3)",
-        trace_exports=trace_exports,
     )
     if lossy_links:
         best = max(TESTBED_LINK_RATES_KBPS)

@@ -165,11 +165,6 @@ class TestWiring:
         with pytest.raises(ValueError):
             ChannelAccessAdapter(config, lambda cw: None, initial_cw=100)
 
-    def test_decisions_recorded(self):
-        caa, _ = make_caa(window=2)
-        feed(caa, 0, 4)
-        assert len(caa.decisions) == 2
-
 
 class TestConfigValidation:
     def test_b_min_below_b_max(self):

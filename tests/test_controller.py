@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EZFlowConfig, EZFlowController, attach_ezflow
+from repro.core import ChannelAccessAdapter, EZFlowConfig, EZFlowController, attach_ezflow
 from repro.sim.units import seconds
 from repro.topology.linear import linear_chain
 
@@ -99,9 +99,14 @@ class TestEstimation:
     def test_no_message_passing(self):
         """EZ-flow must add zero transmissions: frame counts with and
         without controllers are identical for the same seed."""
+        def data_tx(network):
+            return sum(
+                e.tx_attempts for node in network.nodes.values() for e in node.mac.entities
+            )
+
         plain = linear_chain(hops=3, seed=7)
         plain.run(until_us=seconds(10))
-        baseline_tx = plain.trace.counter("mac.data_tx")
+        baseline_tx = data_tx(plain)
 
         controlled = linear_chain(hops=3, seed=7)
         # Attach estimators but force CAA to never change cw, isolating
@@ -109,7 +114,38 @@ class TestEstimation:
         config = EZFlowConfig(b_min=0.0, b_max=10**9)
         attach_ezflow(controlled.nodes, config)
         controlled.run(until_us=seconds(10))
-        assert controlled.trace.counter("mac.data_tx") == baseline_tx
+        assert data_tx(controlled) == baseline_tx
+
+
+class TestWindowHistory:
+    def test_one_sample_per_decision_ending_at_cw(self, monkeypatch):
+        """``cw_history[s]`` holds (engine time, new cw) of every CAA
+        decision toward ``s``, in time order, and ends at the CAA's cw."""
+        network = linear_chain(hops=4, seed=1)
+        decided = {}
+        on_sample = ChannelAccessAdapter.on_sample
+
+        def spy(caa, sample):
+            decision = on_sample(caa, sample)
+            if decision is not None:
+                decided.setdefault(id(caa), []).append((network.engine.now, decision.new_cw))
+            return decision
+
+        monkeypatch.setattr(ChannelAccessAdapter, "on_sample", spy)
+        controllers = attach_ezflow(network.nodes)
+        network.run(until_us=seconds(60))
+        recorded = 0
+        for controller in controllers.values():
+            assert set(controller.cw_history) == set(controller.caas)
+            for successor, caa in controller.caas.items():
+                history = controller.cw_history[successor]
+                assert list(history) == decided.get(id(caa), [])
+                assert history.times == sorted(history.times)
+                if len(history):
+                    assert history.values[-1] == caa.cw
+                recorded += len(history)
+        assert recorded == sum(len(samples) for samples in decided.values()) > 0
+        assert max(controllers[0].cw_history[1].values) > 16
 
 
 class TestStabilization:

@@ -29,7 +29,7 @@ net.run(until_us=seconds(20))
 print(
     net.flow("F1").delivered,
     net.flow("F2").delivered,
-    int(net.trace.counter("mac.data_tx")),
+    sum(e.tx_attempts for node in net.nodes.values() for e in node.mac.entities),
     net.nodes["N4"].total_buffer_occupancy(),
 )
 """

@@ -116,86 +116,3 @@ class TestSmokeRuns:
         walk = result.find_table("Random walk")
         assert len(walk.rows) == 2
 
-
-class TestHarnessTraceExports:
-    """Each paper harness records only the trace keys it reads."""
-
-    CASES = (
-        ("fig1", {"duration_s": 3.0, "warmup_s": 1.0}, ("buffer.",)),
-        ("table1", {"duration_s": 2.0, "warmup_s": 1.0}, ()),
-        ("fig4", {"duration_s": 3.0, "warmup_s": 1.0}, ("buffer.",)),
-        ("table2", {"duration_s": 3.0, "warmup_s": 1.0}, ("buffer.",)),
-        ("scenario1", {"time_scale": 0.002}, ("ezflow.",)),
-        ("scenario2", {"time_scale": 0.002}, ("ezflow.",)),
-        (
-            "loadsweep",
-            {"duration_s": 3.0, "warmup_s": 1.0, "loads_kbps": (100.0, 2000.0)},
-            (),
-        ),
-        ("bidirectional", {"duration_s": 3.0, "warmup_s": 1.0, "windows": (4,)}, ()),
-    )
-
-    @pytest.mark.parametrize("spec_id,kwargs,prefixes", CASES, ids=[c[0] for c in CASES])
-    def test_harness_records_only_what_it_reads(self, monkeypatch, spec_id, kwargs, prefixes):
-        from repro.experiments import testbedlab
-        from repro.sim.tracing import TraceRecorder
-        import repro.topology.builders as builders
-
-        made = []
-
-        class CapturingRecorder(TraceRecorder):
-            def __init__(self, exports=None):
-                super().__init__(exports)
-                made.append(self)
-
-        monkeypatch.setattr(builders, "TraceRecorder", CapturingRecorder)
-        testbedlab.clear_cache()
-        try:
-            get_experiment(spec_id)(**kwargs)
-        finally:
-            testbedlab.clear_cache()
-        assert made
-        for trace in made:
-            keys = list(trace.counters) + list(trace.series)
-            assert all(key.startswith(prefixes) for key in keys), keys
-            assert not any(key.startswith(("mac.", "phy.")) for key in keys)
-            assert not any(key.endswith(".occupancy") for key in trace.series)
-            # No harness reads BOE's estimates, so none records them.
-            assert not any(
-                key.startswith("boe.est.") or key.endswith(".estimate")
-                for key in trace.series
-            ), keys
-        if prefixes == ("buffer.",):
-            assert all(
-                any(len(trace.get(key)) for key in trace.series) for trace in made
-            )
-
-    def test_paper_builders_record_everything_by_default(self):
-        from repro.sim.units import seconds
-        from repro.topology.linear import linear_chain
-        from repro.topology.scenario1 import scenario1_network
-        from repro.topology.scenario2 import scenario2_network
-        from repro.topology.testbed import testbed_network
-
-        for network in (
-            linear_chain(hops=3, seed=1),
-            testbed_network(seed=1),
-            scenario1_network(seed=1, time_scale=0.002),
-            scenario2_network(seed=1, time_scale=0.002),
-        ):
-            network.run(until_us=seconds(1))
-            assert network.trace.counter("mac.data_tx") > 0
-            assert network.trace.counter("phy.tx_started") > 0
-            assert any(key.endswith(".occupancy") for key in network.trace.series)
-
-    def test_default_built_ezflow_chain_records_estimates(self):
-        from repro.core import attach_ezflow
-        from repro.sim.units import seconds
-        from repro.topology.linear import linear_chain
-
-        network = linear_chain(hops=4, seed=1)
-        attach_ezflow(network.nodes)
-        network.run(until_us=seconds(2))
-        estimates = [key for key in network.trace.series if key.startswith("boe.est.")]
-        assert estimates
-        assert all(len(network.trace.get(key)) for key in estimates)

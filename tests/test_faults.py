@@ -709,6 +709,6 @@ class TestCLI:
         assert code == 4
         capsys.readouterr()
         # resume: the 2 survivors are cache hits, only the failure re-runs
-        code = main(self.sweep_argv("--store", store, "--resume"))
+        code = main(self.sweep_argv("--store", store))
         assert code == 0
         assert "2 cache hit(s), 1 executed" in capsys.readouterr().err

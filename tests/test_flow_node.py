@@ -12,7 +12,6 @@ from repro.phy.connectivity import GeometricConnectivity
 from repro.phy.propagation import RangeModel
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.tracing import TraceRecorder
 from repro.sim.units import seconds
 
 
@@ -78,11 +77,10 @@ def build_chain(count=4, seed=0, spacing=200.0):
     positions = {i: (i * spacing, 0.0) for i in range(count)}
     conn = GeometricConnectivity(positions, RangeModel())
     rng = RngRegistry(seed)
-    trace = TraceRecorder()
-    channel = Channel(engine, conn, rng, trace)
+    channel = Channel(engine, conn, rng)
     routing = StaticRouting()
     nodes = {
-        i: NodeStack(engine, channel, routing, i, DcfConfig(), rng, trace)
+        i: NodeStack(engine, channel, routing, i, DcfConfig(), rng)
         for i in range(count)
     }
     routing.install_path(list(range(count)))

@@ -42,7 +42,7 @@ class TestChainStability:
             network.run(until_us=seconds(30))
             return (
                 network.flow("F1").delivered,
-                network.trace.counter("mac.data_tx"),
+                sum(e.tx_attempts for node in network.nodes.values() for e in node.mac.entities),
             )
 
         assert run_once() == run_once()
@@ -85,9 +85,7 @@ class TestTestbedShapes:
             network = build_testbed_network(seed=4, flows=("F2",))
             if ezflow:
                 attach_ezflow(network.nodes)
-            sampler = BufferSampler(
-                network.engine, network.trace, network.nodes, ["N4"], 1.0
-            )
+            sampler = BufferSampler(network.engine, network.nodes, ["N4"], 1.0)
             sampler.start()
             network.run(until_us=seconds(150))
             return sampler.mean_occupancy("N4", seconds(60), seconds(150))

@@ -98,18 +98,14 @@ class TestStats:
 class TestBufferSampler:
     def test_samples_at_interval(self):
         network = linear_chain(hops=3, seed=1)
-        sampler = BufferSampler(
-            network.engine, network.trace, network.nodes, [1, 2], interval_s=1.0
-        )
+        sampler = BufferSampler(network.engine, network.nodes, [1, 2], interval_s=1.0)
         sampler.start()
         network.run(until_us=seconds(10))
         assert len(sampler.series_for(1)) == 11  # t = 0..10 inclusive
 
     def test_mean_occupancy_window(self):
         network = linear_chain(hops=3, seed=1)
-        sampler = BufferSampler(
-            network.engine, network.trace, network.nodes, [1], interval_s=1.0
-        )
+        sampler = BufferSampler(network.engine, network.nodes, [1], interval_s=1.0)
         sampler.start()
         network.run(until_us=seconds(30))
         value = sampler.mean_occupancy(1, seconds(5), seconds(30))
@@ -117,7 +113,7 @@ class TestBufferSampler:
 
     def test_double_start_rejected(self):
         network = linear_chain(hops=3, seed=1)
-        sampler = BufferSampler(network.engine, network.trace, network.nodes, [1])
+        sampler = BufferSampler(network.engine, network.nodes, [1])
         sampler.start()
         with pytest.raises(RuntimeError):
             sampler.start()
@@ -125,12 +121,7 @@ class TestBufferSampler:
     def test_forwarding_only_mode(self):
         network = linear_chain(hops=3, seed=1)
         sampler = BufferSampler(
-            network.engine,
-            network.trace,
-            network.nodes,
-            [0],
-            interval_s=1.0,
-            forwarding_only=True,
+            network.engine, network.nodes, [0], interval_s=1.0, forwarding_only=True
         )
         sampler.start()
         network.run(until_us=seconds(5))

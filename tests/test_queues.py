@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.mac.queues import DEFAULT_CAPACITY, FifoQueue, QueueDropError
-from repro.sim.engine import Engine
-from repro.sim.tracing import TraceRecorder
 
 
 class TestBasics:
@@ -69,26 +67,6 @@ class TestDropTail:
         queue.pop()
         assert queue.enqueued == 2
         assert queue.dequeued == 1
-
-
-class TestTracing:
-    def test_occupancy_traced_on_change(self):
-        engine = Engine()
-        trace = TraceRecorder()
-        queue = FifoQueue("q", 10, trace, engine)
-        queue.push(1)
-        queue.push(2)
-        queue.pop()
-        series = trace.get("q.occupancy")
-        assert series.values == [1, 2, 1]
-
-    def test_drop_bumps_counter(self):
-        engine = Engine()
-        trace = TraceRecorder()
-        queue = FifoQueue("q", 1, trace, engine)
-        queue.push(1)
-        queue.push(2)
-        assert trace.counter("q.drops") == 1
 
 
 class TestProperties:

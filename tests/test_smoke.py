@@ -95,7 +95,7 @@ def test_chaos_sweep_survives_resumes_and_matches_clean_bytes(
     # Resuming without the plan executes exactly the three failed runs.
     records = []
     monkeypatch.setattr(cli, "_print_record", records.append)
-    assert cli.main(SWEEP + ["--store", store, "--resume", "--out", str(out)]) == 0
+    assert cli.main(SWEEP + ["--store", store, "--out", str(out)]) == 0
     assert "9 cache hit(s), 3 executed" in capsys.readouterr().err
     executed = sorted(r.request.run_id for r in records if not r.cached)
     assert executed == sorted(f["run_id"] for f in failures)
@@ -113,7 +113,7 @@ def test_killed_sweep_resumes_byte_identically(tmp_path, capsys):
     with pytest.raises(InjectedFault):
         cli.main(SWEEP + ["--fault-plan", "5=raise", "--store", store])
     capsys.readouterr()
-    assert cli.main(SWEEP + ["--store", store, "--resume", "--out", str(out)]) == 0
+    assert cli.main(SWEEP + ["--store", store, "--out", str(out)]) == 0
     assert "5 cache hit(s), 7 executed" in capsys.readouterr().err
     assert_same_export(reference, out)
     uninterrupted = f"sqlite:{tmp_path / 'uninterrupted.sqlite'}"

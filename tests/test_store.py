@@ -3,8 +3,8 @@
 Covers content-key identity (spelling-independent dedupe), the store's
 put/get/index primitives, checkpoint/resume through SweepRunner/Study
 (including a sweep killed by a fault plan), lazy streaming aggregation
-over a store, the ``sqlite:PATH`` url rule, and the CLI
-``--store``/``--resume`` surfaces.
+over a store, the ``sqlite:PATH`` url rule, and the CLI ``--store``
+surface.
 """
 
 import os
@@ -410,18 +410,12 @@ class TestCLI:
             *extra,
         ]
 
-    def test_resume_requires_store(self, capsys):
-        assert main(self.sweep_argv("--resume")) == 2
-        assert "--resume requires --store" in capsys.readouterr().err
-
     def test_sweep_store_reports_hits(self, tmp_path, capsys):
         store_path = f"sqlite:{tmp_path / 'store.sqlite'}"
         assert main(self.sweep_argv("--store", store_path)) == 0
         assert "2 executed" in capsys.readouterr().err
-        assert main(self.sweep_argv("--store", store_path, "--resume")) == 0
-        err = capsys.readouterr().err
-        assert "[resuming]" in err
-        assert "2 cache hit(s), 0 executed" in err
+        assert main(self.sweep_argv("--store", store_path)) == 0
+        assert "2 cache hit(s), 0 executed" in capsys.readouterr().err
 
     def test_fault_exit_code_then_resume(self, tmp_path, capsys):
         # A fail-mode fault plan kills the sweep at request 1; the run
@@ -431,10 +425,7 @@ class TestCLI:
             main(self.sweep_argv("--store", store_path, "--fault-plan", "1=raise"))
         capsys.readouterr()
         out = str(tmp_path / "out")
-        assert (
-            main(self.sweep_argv("--store", store_path, "--resume", "--out", out))
-            == 0
-        )
+        assert main(self.sweep_argv("--store", store_path, "--out", out)) == 0
         assert "1 cache hit(s), 1 executed" in capsys.readouterr().err
         assert os.path.isfile(os.path.join(out, "manifest.json"))
 

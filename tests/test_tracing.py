@@ -1,9 +1,9 @@
-"""Tests for trace time series and the recorder."""
+"""Tests for the append-only time series."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.tracing import TimeSeries, TraceRecorder
+from repro.sim.tracing import TimeSeries
 from repro.sim.units import US_PER_S
 
 
@@ -130,21 +130,3 @@ class TestTimeSeries:
         average = series.time_average(0, 2000, initial=values[0])
         assert min(values) - 1e-9 <= average <= max(values) + 1e-9
 
-
-class TestTraceRecorder:
-    def test_record_creates_series(self):
-        recorder = TraceRecorder()
-        recorder.record("x", 1, 2.0)
-        assert len(recorder.get("x")) == 1
-
-    def test_get_unknown_returns_empty(self):
-        assert len(TraceRecorder().get("missing")) == 0
-
-    def test_bump_counter(self):
-        recorder = TraceRecorder()
-        recorder.bump("drops")
-        recorder.bump("drops", 2.0)
-        assert recorder.counter("drops") == 3.0
-
-    def test_counter_default_zero(self):
-        assert TraceRecorder().counter("none") == 0.0
