@@ -4,11 +4,12 @@ Run from the repo root::
 
     PYTHONPATH=src python tests/make_goldens.py
 
-The goldens pin the exact bytes of representative exports — six short
+The goldens pin the exact bytes of representative exports — eight short
 paper harness runs (the saturated Figure 1 chain, the CBR testbed of
 Table 2 and the relay buffer series Figure 4 samples on it, the
-scenario 1 and 2 schedules with their EZ-flow window series, and a
-CBR load sweep) and six generated-topology (meshgen) runs covering
+scenario 1 and 2 schedules with their EZ-flow window series, a CBR
+load sweep, Table 1's isolated links and the windowed transport over
+the chain) and six generated-topology (meshgen) runs covering
 both engine tiers, every adaptive slotted window rule and the dynamic
 loss/churn axes — so any change to
 simulator semantics, RNG draw order, or export formatting shows up as
@@ -47,6 +48,15 @@ GOLDEN_RUNS = (
         "loadsweep",
         {"duration_s": 20.0, "warmup_s": 5.0, "loads_kbps": (100.0, 2000.0)},
         "loadsweep_short",
+    ),
+    # Table 1's one-hop link flows over the calibrated lossy channel,
+    # and the windowed transport's T1 flow over the chain with its
+    # reverse ACK routes, below and above the relays' capacity.
+    ("table1", {"duration_s": 20.0, "warmup_s": 5.0}, "table1_short"),
+    (
+        "bidirectional",
+        {"duration_s": 20.0, "warmup_s": 5.0, "windows": (4, 64)},
+        "bidirectional_short",
     ),
     (
         "meshgen",
