@@ -13,32 +13,19 @@ capacity on the 4-hop chain:
 """
 
 from repro.core import attach_ezflow
-from repro.mac.dcf import DcfConfig
-from repro.phy.connectivity import GeometricConnectivity
-from repro.phy.propagation import RangeModel
-from repro.net.flow import Flow
 from repro.sim.units import seconds
-from repro.topology.builders import build_chain_positions, build_network
-from repro.traffic.sources import CbrSource
+from repro.topology.linear import linear_chain
 
 DURATION_S = 400.0
 WARMUP_S = 250.0
 
 
 def run_chain(capacity: int, ezflow: bool, seed: int = 3):
-    positions = build_chain_positions(5, 200.0)
-    conn = GeometricConnectivity(positions, RangeModel())
-    network = build_network(conn, seed=seed, mac_config=DcfConfig())
-    # Rebuild stacks with the requested queue capacity.
+    network = linear_chain(hops=4, seed=seed, rate_bps=2_000_000.0)
+    # Queues are created on first use, so every one gets this capacity.
     for stack in network.nodes.values():
         stack.queue_capacity = capacity
-    network.routing.install_path(list(range(5)))
-    flow = Flow("F1", src=0, dst=4)
-    network.flows["F1"] = flow
-    network.nodes[4].register_flow(flow)
-    network.sources.append(
-        CbrSource(network.engine, network.nodes[0], flow, 2_000_000.0, 1000)
-    )
+    flow = network.flow("F1")
     if ezflow:
         attach_ezflow(network.nodes)
     network.run(until_us=seconds(DURATION_S))

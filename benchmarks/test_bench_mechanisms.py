@@ -18,9 +18,7 @@ DURATION_S = 300.0
 
 
 def run_chain(mechanism: str, seed: int = 3):
-    network = linear_chain(
-        hops=4, seed=seed, saturated=False, rate_bps=2_000_000.0
-    )
+    network = linear_chain(hops=4, seed=seed, rate_bps=2_000_000.0)
     if mechanism == "ezflow":
         attach_ezflow(network.nodes)
     elif mechanism == "rate-ezflow":

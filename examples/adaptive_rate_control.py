@@ -19,9 +19,7 @@ from repro.topology.linear import linear_chain
 
 
 def run(variant: str, duration_s: float, seed: int):
-    network = linear_chain(
-        hops=4, seed=seed, saturated=False, rate_bps=2_000_000.0
-    )
+    network = linear_chain(hops=4, seed=seed, rate_bps=2_000_000.0)
     controllers = {}
     if variant == "cw":
         controllers = attach_ezflow(network.nodes)

@@ -20,9 +20,7 @@ from repro.topology.linear import linear_chain
 
 
 def trace_estimates(overhear_loss: float, duration_s: float, seed: int):
-    network = linear_chain(
-        hops=3, seed=seed, saturated=False, rate_bps=200_000.0
-    )
+    network = linear_chain(hops=3, seed=seed, rate_bps=200_000.0)
     if overhear_loss:
         network.channel.set_overhear_loss(0, overhear_loss)
     controller = EZFlowController(network.nodes[0])

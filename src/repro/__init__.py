@@ -11,12 +11,13 @@ Package layout:
 * ``repro.phy`` — channel, propagation, collisions, overhearing;
 * ``repro.mac`` — IEEE 802.11 DCF with per-queue contention;
 * ``repro.net`` — packets, static routing, node stacks, flows;
-* ``repro.traffic`` — CBR / Poisson / saturated sources;
+* ``repro.traffic`` — CBR / saturated / on/off sources and workload mixes;
 * ``repro.core`` — EZ-flow itself (BOE + CAA);
 * ``repro.baselines`` — standard 802.11, penalty-q, DiffQ-style;
 * ``repro.analysis`` — the Section 6 slotted model and stability proofs;
 * ``repro.metrics`` — throughput/delay/fairness/buffer metrics;
-* ``repro.topology`` — every evaluated topology;
+* ``repro.topology`` — every evaluated topology, each paper layout a
+  table of flows wired by ``Network.add_flow``;
 * ``repro.experiments`` — one harness per paper table/figure.
 
 Quickstart::

@@ -16,7 +16,7 @@ labels, Lyapunov values, buffer trajectories.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.activation import sample_activation

@@ -14,12 +14,11 @@ difference thresholds, which is what we implement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.mac.frames import Frame, FrameKind
 from repro.net.node import NodeStack
-from repro.net.packet import Packet
 
 NodeId = Hashable
 

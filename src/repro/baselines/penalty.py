@@ -11,7 +11,7 @@ single-flow: relays at 2^4, source at 2^7).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Optional
+from typing import Dict, Hashable, Iterable
 
 from repro.net.node import NodeStack
 

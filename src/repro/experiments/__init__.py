@@ -4,7 +4,8 @@ The catalogue lives in :mod:`repro.experiments.specs` as declarative
 :class:`~repro.experiments.specs.ScenarioSpec`s (id, entry point,
 parameter schema); :mod:`repro.experiments.runner` fans batches of runs
 out over processes. The CLI (``python -m repro.experiments``) and the
-benchmarks both resolve experiments through :func:`get_experiment`.
+benchmarks both resolve experiments through
+:func:`~repro.experiments.specs.get_spec`.
 
 | id        | paper content                                   |
 |-----------|--------------------------------------------------|
@@ -24,20 +25,6 @@ import fig1``); the registry resolves them lazily so ``list`` and spec
 validation never pay harness import cost.
 """
 
-from typing import Callable
-
 from repro.experiments.common import ExperimentResult, Table
-from repro.experiments.specs import get_spec, spec_ids
 
-
-def experiment_ids():
-    """All registered experiment ids (figure/table aliases included)."""
-    return spec_ids()
-
-
-def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
-    """Resolve an experiment id (figure aliases included) to its runner."""
-    return get_spec(experiment_id).resolve()
-
-
-__all__ = ["ExperimentResult", "Table", "experiment_ids", "get_experiment"]
+__all__ = ["ExperimentResult", "Table"]

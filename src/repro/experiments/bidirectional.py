@@ -55,7 +55,7 @@ def run(
     start, end = seconds(warmup_s), seconds(duration_s)
     for window in windows:
         for ezflow in (False, True):
-            network = linear_chain(hops=hops, seed=seed, saturated=False, rate_bps=1000)
+            network = linear_chain(hops=hops, seed=seed, rate_bps=1000)
             network.sources.clear()
             install_reverse_routes(network.routing, list(range(hops + 1)))
             flow = Flow("T1", src=0, dst=hops)

@@ -10,8 +10,6 @@ EZ-flow 29.5 (N1, blocked by the 2^10 hardware cw cap), 5.2 (N2) and
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.experiments.common import ExperimentResult
 from repro.experiments.testbedlab import testbed_simulation
 from repro.sim.units import seconds

@@ -11,7 +11,7 @@ its peak goodput and keeps delay flat.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core import attach_ezflow
 from repro.experiments.common import ExperimentResult
@@ -41,12 +41,7 @@ def run(
     start, end = seconds(warmup_s), seconds(duration_s)
     for load in loads_kbps:
         for ezflow in (False, True):
-            network = linear_chain(
-                hops=hops,
-                seed=seed,
-                saturated=False,
-                rate_bps=load * 1000.0,
-            )
+            network = linear_chain(hops=hops, seed=seed, rate_bps=load * 1000.0)
             if ezflow:
                 attach_ezflow(network.nodes)
             network.run(until_us=seconds(duration_s))

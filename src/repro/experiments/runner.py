@@ -51,7 +51,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.faults import FaultAction, FaultPlan
-from repro.experiments.specs import ScenarioSpec, get_spec
+from repro.experiments.specs import get_spec
 from repro.telemetry.channel import WorkerPublisher, drain_channel
 from repro.telemetry.events import RunFailed, RunFinished, RunStarted
 from repro.telemetry.hub import RunEventGate

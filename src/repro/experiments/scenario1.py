@@ -16,8 +16,6 @@ settle at cw 2^4 and the sources climb to 2^7..2^11.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.core import attach_ezflow
 from repro.experiments.common import ExperimentResult
 from repro.sim.units import seconds

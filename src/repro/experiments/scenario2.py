@@ -16,8 +16,6 @@ delays cut by an order of magnitude; period 3 F1 150 -> 180 kb/s.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.core import attach_ezflow
 from repro.experiments.common import ExperimentResult
 from repro.metrics.fairness import jain_fairness_index

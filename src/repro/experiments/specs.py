@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import importlib
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Tuple
 
 from repro.experiments.common import ExperimentResult
 

@@ -14,7 +14,7 @@ Three pieces:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.analysis import (
     EZFlowRule,

@@ -12,7 +12,6 @@ l2 minimum.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult
-from repro.net.flow import Flow
 from repro.sim.units import seconds
 from repro.topology.builders import build_network
 from repro.topology.testbed import (
@@ -21,7 +20,6 @@ from repro.topology.testbed import (
     testbed_connectivity,
     _erasure_for_rate,
 )
-from repro.traffic.sources import CbrSource
 from repro.metrics.stats import stddev
 
 
@@ -45,13 +43,7 @@ def run(
         src, dst = CHAIN[i], CHAIN[i + 1]
         network = build_network(testbed_connectivity(), seed=seed + i)
         network.channel.set_link_loss(src, dst, _erasure_for_rate(paper_rate, best))
-        network.routing.install_path([src, dst])
-        flow = Flow(f"l{i}", src=src, dst=dst)
-        network.flows[flow.flow_id] = flow
-        network.nodes[dst].register_flow(flow)
-        network.sources.append(
-            CbrSource(network.engine, network.nodes[src], flow, 2_000_000.0, 1000)
-        )
+        flow = network.add_flow(f"l{i}", [src, dst])
         network.run(until_us=seconds(duration_s))
         result.note_runtime(network.engine)
         start, end = seconds(warmup_s), seconds(duration_s)

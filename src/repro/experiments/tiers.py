@@ -47,7 +47,14 @@ from repro.topology.meshgen import (
     generate_topology,
     mean_degree,
 )
-from repro.traffic.workloads import WorkloadSpec, attach_workload
+from repro.traffic.workloads import (
+    MEAN_OFF_S,
+    MEAN_ON_S,
+    PACKET_BYTES,
+    WINDOW,
+    WorkloadSpec,
+    attach_workload,
+)
 
 #: The meshgen family's closing note (shared verbatim by both tiers so
 #: the event tier's exported bytes cannot drift).
@@ -338,7 +345,7 @@ def run_event(ir: MeshScenarioIR) -> ExperimentResult:
 # -- the slot-synchronous tier --------------------------------------------
 
 
-def _slot_length_us(workload: WorkloadSpec, algorithm: str, config: DcfConfig) -> float:
+def _slot_length_us(algorithm: str, config: DcfConfig) -> float:
     """Calibrated slot length: one full successful frame exchange.
 
     DIFS + mean CWmin backoff + data air time (MAC header + payload,
@@ -348,7 +355,7 @@ def _slot_length_us(workload: WorkloadSpec, algorithm: str, config: DcfConfig) -
     the event tier's variable-length exchanges.
     """
     rates = config.rates
-    payload = workload.packet_bytes + MAC_DATA_HEADER_BYTES
+    payload = PACKET_BYTES + MAC_DATA_HEADER_BYTES
     if algorithm == "diffq":
         payload += DIFFQ_HEADER_BYTES
     mean_backoff_us = (config.cwmin - 1) / 2.0 * rates.slot_time_us
@@ -375,9 +382,9 @@ def run_slotted(ir: MeshScenarioIR) -> ExperimentResult:
     workload = WorkloadSpec(kind=ir.workload, rate_bps=ir.rate_kbps * 1000.0)
 
     config = DcfConfig()
-    slot_us = _slot_length_us(workload, ir.algorithm, config)
+    slot_us = _slot_length_us(ir.algorithm, config)
     slot_s = slot_us / 1e6
-    pkts_per_slot = workload.rate_bps * slot_s / (workload.packet_bytes * 8)
+    pkts_per_slot = workload.rate_bps * slot_s / (PACKET_BYTES * 8)
 
     flows: List[SlottedFlow] = []
     for index, (src, dst) in enumerate(endpoints):
@@ -390,21 +397,21 @@ def run_slotted(ir: MeshScenarioIR) -> ExperimentResult:
                 src,
                 dst,
                 pkts_per_slot=pkts_per_slot if kind != "windowed" else 0.0,
-                window=workload.window if kind == "windowed" else 0,
+                window=WINDOW if kind == "windowed" else 0,
                 stream=(
                     registry.stream(f"slotted.workload.{flow_id}")
                     if kind == "onoff"
                     else None
                 ),
-                mean_on_s=workload.mean_on_s,
-                mean_off_s=workload.mean_off_s,
+                mean_on_s=MEAN_ON_S,
+                mean_off_s=MEAN_OFF_S,
             )
         )
 
     initial_cw: Dict[Hashable, int] = {}
     rule = FixedCw()
     if ir.algorithm == "ezflow":
-        rule = EZFlowCw(mincw=config.cwmin)
+        rule = EZFlowCw()
     elif ir.algorithm == "diffq":
         rule = DiffQCw(DiffQConfig().cwmin_for)
     elif ir.algorithm == "penalty":
@@ -463,7 +470,7 @@ def run_slotted(ir: MeshScenarioIR) -> ExperimentResult:
                     "goodput_kbps",
                     {
                         flow_id: counts["delivered"]
-                        * workload.packet_bytes
+                        * PACKET_BYTES
                         * 8
                         / now
                         / 1000.0
@@ -520,7 +527,7 @@ def run_slotted(ir: MeshScenarioIR) -> ExperimentResult:
         # A zero-length window (duration == warmup) reports zero
         # goodput, matching the event tier's rate accounting.
         goodput = (
-            window_delivered * workload.packet_bytes * 8 / window_s / 1000.0
+            window_delivered * PACKET_BYTES * 8 / window_s / 1000.0
             if window_s > 0
             else 0.0
         )

@@ -309,7 +309,6 @@ class Dcf(PhyListener):
         self.on_data_overheard: Optional[Callable[[Frame, int], None]] = None
         self.on_tx_start: Optional[Callable[[TxEntity, Frame], None]] = None
         self.on_tx_success: Optional[Callable[[TxEntity, object, Frame], None]] = None
-        self.on_tx_drop: Optional[Callable[[TxEntity, object], None]] = None
         self._port = channel.attach(node_id, self)
         self._port.contending = 0
 
@@ -398,9 +397,11 @@ class Dcf(PhyListener):
             self.on_tx_success(entity, packet, frame)
 
     def notify_tx_drop(self, entity: TxEntity, packet) -> None:
-        """Propagate a retry-limit drop to the upper layer."""
-        if self.on_tx_drop is not None:
-            self.on_tx_drop(entity, packet)
+        """A no-op: the one call out of the MAC a retry-limit drop makes.
+
+        ``TxEntity.tx_drops`` counts the drops. The method stays because
+        ``ezbench/tracing.py`` wraps it by name to count ``mac.tx_drops``.
+        """
 
     # -- PhyListener ---------------------------------------------------------
 

@@ -8,7 +8,7 @@ number for duplicate filtering, and the retry flag.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Optional
 
 MAC_DATA_HEADER_BYTES = 28  # 24-byte MAC header + 4-byte FCS

@@ -24,13 +24,11 @@ class BufferSampler:
         nodes: Dict[Hashable, NodeStack],
         node_ids: Optional[Iterable[Hashable]] = None,
         interval_s: float = 1.0,
-        forwarding_only: bool = False,
     ):
         self.engine = engine
         self.nodes = nodes
         self.node_ids = list(node_ids) if node_ids is not None else list(nodes)
         self.interval_us = seconds(interval_s)
-        self.forwarding_only = forwarding_only
         self.series: Dict[Hashable, TimeSeries] = {
             node_id: TimeSeries() for node_id in self.node_ids
         }
@@ -54,12 +52,8 @@ class BufferSampler:
 
     def _sample(self) -> None:
         now = self.engine.now
-        if self.forwarding_only:
-            for stack, series in self._probes:
-                series.append(now, stack.forwarding_occupancy())
-        else:
-            for stack, series in self._probes:
-                series.append(now, stack.total_buffer_occupancy())
+        for stack, series in self._probes:
+            series.append(now, stack.total_buffer_occupancy())
 
     def series_for(self, node_id: Hashable) -> TimeSeries:
         """The recorded occupancy series of one sampled node."""

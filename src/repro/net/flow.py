@@ -8,7 +8,7 @@ delivery time series from which windowed throughput is computed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional
+from typing import Hashable, Optional
 
 from repro.net.packet import Packet
 from repro.sim.tracing import TimeSeries

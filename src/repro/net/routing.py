@@ -10,7 +10,7 @@ must also call ``NodeStack.invalidate_route_caches`` on every node.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 NodeId = Hashable
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappush
 from itertools import repeat as _repeat
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.phy.connectivity import ConnectivityMap, NodeId
 from repro.sim.engine import Engine

@@ -206,19 +206,13 @@ class EZFlowCw(_BacklogRule):
     whenever any downstream queue builds.
     """
 
-    def __init__(
-        self,
-        b_min: float = 0.05,
-        b_max: float = 20.0,
-        mincw: int = DEFAULT_CWMIN,
-        maxcw: int = DEFAULT_MAXCW,
-    ):
-        if not 0 <= b_min < b_max:
-            raise ValueError("need 0 <= b_min < b_max")
-        self.b_min = b_min
-        self.b_max = b_max
-        self.mincw = mincw
-        self.maxcw = maxcw
+    #: The paper's thresholds and window bounds (``EZFlowConfig``'s).
+    b_min = 0.05
+    b_max = 20.0
+    mincw = DEFAULT_CWMIN
+    maxcw = DEFAULT_MAXCW
+
+    def __init__(self):
         self.set_routes({})
         self._changed: List[NodeId] = []
 
@@ -380,7 +374,6 @@ class SlottedMesh:
     2-hop sensing is the point) — while *interference* is always rx
     adjacency at the receiver: a concurrent transmitter the receiver
     would decode collides, sense-only interferers are captured through.
-    Pass ``defer_of`` to pin either behaviour explicitly.
 
     Routes arrive via :meth:`set_routes` as per-destination parent maps
     (the BFS trees meshgen installs); the caller re-invokes it after
@@ -408,6 +401,12 @@ class SlottedMesh:
     down node retains its queued packets until it returns.
     """
 
+    #: DCF's window cap and retry limit, and the per-node queue capacity:
+    #: the event tier's ``DcfConfig`` and FIFO defaults.
+    cwmax = 1024
+    retry_limit = 7
+    buffer_cap = 50
+
     def __init__(
         self,
         connectivity,
@@ -417,11 +416,7 @@ class SlottedMesh:
         initial_cw: Optional[Dict[NodeId, int]] = None,
         rule=None,
         loss: Optional[Callable[[NodeId, NodeId], object]] = None,
-        defer_of: Optional[Callable[[NodeId], object]] = None,
         active_filter: object = "auto",
-        cwmax: int = 1024,
-        retry_limit: int = 7,
-        buffer_cap: Optional[int] = 50,
     ):
         if slot_s <= 0:
             raise ValueError("slot length must be positive")
@@ -431,9 +426,7 @@ class SlottedMesh:
         self.slot_s = slot_s
         self.rule = rule if rule is not None else FixedCw()
         self.loss = loss
-        if defer_of is None:
-            defer_of = getattr(connectivity, "sensors_of", connectivity.receivers_of)
-        self.defer_of = defer_of
+        self.defer_of = getattr(connectivity, "sensors_of", connectivity.receivers_of)
         self._nodes = sorted(connectivity.nodes())
         # ``active_filter``: "auto" consults the connectivity's churn
         # state (``is_active``) every slot; None asserts a static map
@@ -445,9 +438,6 @@ class SlottedMesh:
         # active_filter=None asserts the map never mutates, which also
         # means a planned next hop can never be a stale (churned) link.
         self._static = active_filter is None
-        self.cwmax = cwmax
-        self.retry_limit = retry_limit
-        self.buffer_cap = buffer_cap
         self.cw: Dict[NodeId, int] = {node: DEFAULT_CWMIN for node in self._nodes}
         if initial_cw:
             self.cw.update(initial_cw)
@@ -592,11 +582,10 @@ class SlottedMesh:
                 flow.generated += count
                 queue = queues[flow.src]
                 fresh = not queue
-                if self.buffer_cap is not None:
-                    admitted = min(count, self.buffer_cap - len(queue))
-                    self.dropped += count - admitted
-                    flow.lost += count - admitted
-                    count = admitted
+                admitted = min(count, self.buffer_cap - len(queue))
+                self.dropped += count - admitted
+                flow.lost += count - admitted
+                count = admitted
                 if count > 0:
                     queue.extend([index] * count)
                     moved.append(flow.src)
@@ -703,10 +692,7 @@ class SlottedMesh:
                 flow.delivered += 1
                 if record:
                     delivered.append(flow.flow_id)
-            elif (
-                self.buffer_cap is not None
-                and len(queues[receiver]) >= self.buffer_cap
-            ):
+            elif len(queues[receiver]) >= self.buffer_cap:
                 self.dropped += 1  # full relay queue: lost after the MAC success
                 flow.lost += 1
             else:

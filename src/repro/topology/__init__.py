@@ -7,7 +7,9 @@
 * ``scenario2`` — three flows with a hidden-terminal source (Figure 9);
 * ``meshgen`` — seeded generators for random meshes, grids and
   multi-gateway trees (validated connected, shortest-path routed);
-* ``builders`` — the shared ``Network`` container and generic helpers.
+* ``trees`` — gateway-rooted downlink trees (Section 7);
+* ``builders`` — the shared ``Network`` container, whose ``add_flow``
+  wires every flow of the paper layouts (route, sink, source).
 """
 
 from repro.topology.builders import Network, build_chain_positions
@@ -24,7 +26,7 @@ from repro.topology.meshgen import (
 from repro.topology.testbed import testbed_network, TESTBED_LINK_RATES_KBPS
 from repro.topology.scenario1 import scenario1_network
 from repro.topology.scenario2 import scenario2_network
-from repro.topology.trees import tree_backhaul, tree_positions, leaves_of
+from repro.topology.trees import tree_backhaul, tree_positions
 
 __all__ = [
     "Network",
@@ -36,7 +38,6 @@ __all__ = [
     "scenario2_network",
     "tree_backhaul",
     "tree_positions",
-    "leaves_of",
     "MESH_KINDS",
     "MeshGenError",
     "MeshSpec",

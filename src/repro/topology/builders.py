@@ -4,12 +4,16 @@
 routing, node stacks, flows, sources. Topology modules return a
 fully wired ``Network``; experiment harnesses then optionally attach
 EZ-flow (or a baseline) and run it.
+
+``Network.add_flow`` is the one place a paper flow is wired: it routes
+the flow's path, registers the flow at its sink and appends its source,
+so each paper layout is a table of (flow, path, start, stop) rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.mac.dcf import DcfConfig
 from repro.net.flow import Flow
@@ -19,6 +23,8 @@ from repro.phy.channel import Channel
 from repro.phy.connectivity import ConnectivityMap
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
+from repro.sim.units import seconds
+from repro.traffic.sources import CbrSource, SaturatedSource
 
 NodeId = Hashable
 
@@ -35,7 +41,39 @@ class Network:
     sources: List[object]
     rng: RngRegistry
     connectivity: ConnectivityMap
-    description: str = ""
+
+    def add_flow(
+        self,
+        flow_id: Hashable,
+        path: Sequence[NodeId],
+        rate_bps: Optional[float] = 2_000_000.0,
+        start_s: float = 0.0,
+        stop_s: Optional[float] = None,
+    ) -> Flow:
+        """Route ``path`` and load it with one flow from its head to its tail.
+
+        The source is CBR at ``rate_bps`` (the paper's 2 Mb/s saturates
+        every layout), or a :class:`SaturatedSource` when ``rate_bps`` is
+        None; it sends from ``start_s`` until ``stop_s`` (None: never
+        stops).
+        """
+        self.routing.install_path(path)
+        src, dst = path[0], path[-1]
+        flow = Flow(
+            flow_id,
+            src,
+            dst,
+            seconds(start_s),
+            None if stop_s is None else seconds(stop_s),
+        )
+        self.flows[flow_id] = flow
+        self.nodes[dst].register_flow(flow)
+        if rate_bps is None:
+            source = SaturatedSource(self.engine, self.nodes[src], flow)
+        else:
+            source = CbrSource(self.engine, self.nodes[src], flow, rate_bps)
+        self.sources.append(source)
+        return flow
 
     def start_sources(self) -> None:
         """Start every registered traffic source (run() does this once)."""
@@ -53,16 +91,11 @@ class Network:
         """Look up a flow by id."""
         return self.flows[flow_id]
 
-    def node(self, node_id: NodeId) -> NodeStack:
-        """Look up a node stack by id."""
-        return self.nodes[node_id]
-
 
 def build_network(
     connectivity: ConnectivityMap,
     seed: int = 0,
     mac_config: Optional[DcfConfig] = None,
-    description: str = "",
 ) -> Network:
     """Instantiate engine, channel and one stack per connectivity node."""
     engine = Engine()
@@ -88,16 +121,11 @@ def build_network(
         sources=[],
         rng=rng,
         connectivity=connectivity,
-        description=description,
     )
 
 
-def build_chain_positions(
-    count: int,
-    spacing_m: float = 200.0,
-    origin: Tuple[float, float] = (0.0, 0.0),
-) -> Dict[int, Tuple[float, float]]:
-    """Positions of ``count`` nodes on a straight line, ``spacing_m`` apart.
+def build_chain_positions(count: int) -> Dict[int, Tuple[float, float]]:
+    """Positions of ``count`` nodes on the x-axis, 200 m apart.
 
     With the default 250 m transmit / 550 m sensing radii, 200 m spacing
     gives the paper's canonical regime: nodes decode only their direct
@@ -106,5 +134,4 @@ def build_chain_positions(
     """
     if count < 2:
         raise ValueError("a chain needs at least two nodes")
-    x0, y0 = origin
-    return {i: (x0 + i * spacing_m, y0) for i in range(count)}
+    return {i: (i * 200.0, 0.0) for i in range(count)}

@@ -9,31 +9,21 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.mac.dcf import DcfConfig
-from repro.net.flow import Flow
 from repro.phy.connectivity import GeometricConnectivity
 from repro.phy.propagation import RangeModel
-from repro.sim.units import seconds
 from repro.topology.builders import Network, build_chain_positions, build_network
-from repro.traffic.sources import CbrSource, SaturatedSource
 
 
 def linear_chain(
     hops: int,
     seed: int = 0,
-    spacing_m: float = 200.0,
-    saturated: bool = True,
-    rate_bps: float = 2_000_000.0,
-    packet_bytes: int = 1000,
-    mac_config: Optional[DcfConfig] = None,
-    start_s: float = 0.0,
-    stop_s: Optional[float] = None,
+    rate_bps: Optional[float] = None,
     sense_range_m: float = 550.0,
 ) -> Network:
-    """Build a K-hop chain with one flow 0 -> K.
+    """Build a K-hop chain with one flow ``F1`` from node 0 to node K.
 
-    ``saturated=True`` uses the greedy access point of Figure 1 (source
-    queue always full); otherwise a CBR source at ``rate_bps``.
+    ``rate_bps=None`` uses the greedy access point of Figure 1 (source
+    queue always full); a rate gives a CBR source at ``rate_bps``.
 
     ``sense_range_m`` selects the carrier-sensing regime. The ns-2
     default (550 m = 2-hop sensing at 200 m spacing) is faithful to the
@@ -45,30 +35,8 @@ def linear_chain(
     """
     if hops < 1:
         raise ValueError("need at least one hop")
-    node_count = hops + 1
-    positions = build_chain_positions(node_count, spacing_m)
+    positions = build_chain_positions(hops + 1)
     connectivity = GeometricConnectivity(positions, RangeModel(250.0, sense_range_m))
-    network = build_network(
-        connectivity,
-        seed=seed,
-        mac_config=mac_config,
-        description=f"linear {hops}-hop chain, {spacing_m:.0f} m spacing",
-    )
-    path = list(range(node_count))
-    network.routing.install_path(path)
-
-    flow = Flow(
-        flow_id="F1",
-        src=0,
-        dst=hops,
-        start_us=seconds(start_s),
-        stop_us=None if stop_s is None else seconds(stop_s),
-    )
-    network.flows[flow.flow_id] = flow
-    network.nodes[hops].register_flow(flow)
-    if saturated:
-        source = SaturatedSource(network.engine, network.nodes[0], flow, packet_bytes)
-    else:
-        source = CbrSource(network.engine, network.nodes[0], flow, rate_bps, packet_bytes)
-    network.sources.append(source)
+    network = build_network(connectivity, seed=seed)
+    network.add_flow("F1", list(range(hops + 1)), rate_bps=rate_bps)
     return network

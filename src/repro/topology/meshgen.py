@@ -33,7 +33,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.mac.dcf import DcfConfig
 from repro.phy.connectivity import (
     ConnectivityMap,
     GeometricConnectivity,
@@ -376,10 +375,7 @@ def _generate(spec: MeshSpec) -> MeshTopology:
     return topology
 
 
-def build_mesh_network(
-    spec: MeshSpec,
-    mac_config: Optional[DcfConfig] = None,
-) -> Tuple[Network, MeshTopology]:
+def build_mesh_network(spec: MeshSpec) -> Tuple[Network, MeshTopology]:
     """Instantiate a fully wired :class:`Network` for a generated layout.
 
     Shortest-path next hops toward every gateway are installed for every
@@ -389,15 +385,7 @@ def build_mesh_network(
     see :mod:`repro.traffic.workloads`.
     """
     topology = generate_topology(spec)
-    network = build_network(
-        topology.connectivity,
-        seed=spec.seed,
-        mac_config=mac_config,
-        description=(
-            f"generated {spec.kind}: {spec.nodes} nodes, "
-            f"{len(topology.gateways)} gateway(s), seed {spec.seed}"
-        ),
-    )
+    network = build_network(topology.connectivity, seed=spec.seed)
     for gateway in topology.gateways:
         parents = topology.parents[gateway]
         for node in sorted(parents):

@@ -19,15 +19,11 @@ Paper timing: F1 active 5 s -> 2504 s, F2 active 605 s -> 1804 s.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.mac.dcf import DcfConfig
-from repro.net.flow import Flow
 from repro.phy.connectivity import GeometricConnectivity
 from repro.phy.propagation import RangeModel
-from repro.sim.units import seconds
 from repro.topology.builders import Network, build_network
-from repro.traffic.sources import CbrSource
 
 #: Paper activity windows (seconds).
 F1_START_S, F1_STOP_S = 5.0, 2504.0
@@ -36,28 +32,27 @@ F2_START_S, F2_STOP_S = 605.0, 1804.0
 F1_PATH = [12, 10, 8, 6, 4, 3, 2, 1, 0]
 F2_PATH = [11, 9, 7, 5, 4, 3, 2, 1, 0]
 
+#: The paper's schedule as (flow, path, start, stop) rows, in seconds.
+FLOWS = (
+    ("F1", F1_PATH, F1_START_S, F1_STOP_S),
+    ("F2", F2_PATH, F2_START_S, F2_STOP_S),
+)
 
-def scenario1_positions(spacing_m: float = 200.0) -> Dict[int, Tuple[float, float]]:
+
+def scenario1_positions() -> Dict[int, Tuple[float, float]]:
     """Node coordinates for the merge topology."""
     positions: Dict[int, Tuple[float, float]] = {
-        i: (i * spacing_m, 0.0) for i in range(5)  # trunk N0..N4
+        i: (i * 200.0, 0.0) for i in range(5)  # trunk N0..N4
     }
-    step = spacing_m / math.sqrt(2.0)
+    step = 200.0 / math.sqrt(2.0)
     for rank, node in enumerate([6, 8, 10, 12], start=1):  # F1 branch, +45 deg
-        positions[node] = (4 * spacing_m + rank * step, rank * step)
+        positions[node] = (800.0 + rank * step, rank * step)
     for rank, node in enumerate([5, 7, 9, 11], start=1):  # F2 branch, -45 deg
-        positions[node] = (4 * spacing_m + rank * step, -rank * step)
+        positions[node] = (800.0 + rank * step, -rank * step)
     return positions
 
 
-def scenario1_network(
-    seed: int = 0,
-    rate_bps: float = 2_000_000.0,
-    packet_bytes: int = 1000,
-    time_scale: float = 1.0,
-    mac_config: Optional[DcfConfig] = None,
-    spacing_m: float = 200.0,
-) -> Network:
+def scenario1_network(seed: int = 0, time_scale: float = 1.0) -> Network:
     """Build scenario 1 with the paper's flow schedule.
 
     ``time_scale`` compresses the schedule (0.1 turns the 2504 s run
@@ -66,37 +61,11 @@ def scenario1_network(
     """
     if time_scale <= 0:
         raise ValueError("time_scale must be positive")
-    connectivity = GeometricConnectivity(scenario1_positions(spacing_m), RangeModel())
     network = build_network(
-        connectivity,
-        seed=seed,
-        mac_config=mac_config,
-        description="scenario 1: two 8-hop flows merging at a gateway (Figure 5)",
+        GeometricConnectivity(scenario1_positions(), RangeModel()), seed=seed
     )
-    network.routing.install_path(F1_PATH)
-    network.routing.install_path(F2_PATH)
-
-    flow1 = Flow(
-        "F1",
-        src=12,
-        dst=0,
-        start_us=seconds(F1_START_S * time_scale),
-        stop_us=seconds(F1_STOP_S * time_scale),
-    )
-    flow2 = Flow(
-        "F2",
-        src=11,
-        dst=0,
-        start_us=seconds(F2_START_S * time_scale),
-        stop_us=seconds(F2_STOP_S * time_scale),
-    )
-    network.flows = {"F1": flow1, "F2": flow2}
-    network.nodes[0].register_flow(flow1)
-    network.nodes[0].register_flow(flow2)
-    network.sources.append(
-        CbrSource(network.engine, network.nodes[12], flow1, rate_bps, packet_bytes)
-    )
-    network.sources.append(
-        CbrSource(network.engine, network.nodes[11], flow2, rate_bps, packet_bytes)
-    )
+    for flow_id, path, start_s, stop_s in FLOWS:
+        network.add_flow(
+            flow_id, path, start_s=start_s * time_scale, stop_s=stop_s * time_scale
+        )
     return network

@@ -23,15 +23,11 @@ leave at 3605 s; the run ends at 4500 s with F1 alone again.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.mac.dcf import DcfConfig
-from repro.net.flow import Flow
 from repro.phy.connectivity import GeometricConnectivity
 from repro.phy.propagation import RangeModel
-from repro.sim.units import seconds
 from repro.topology.builders import Network, build_network
-from repro.traffic.sources import CbrSource
 
 #: Paper activity windows (seconds).
 F1_START_S, F1_STOP_S = 5.0, 4500.0
@@ -42,66 +38,43 @@ F1_PATH = list(range(0, 10))        # N0..N9
 F2_PATH = list(range(10, 19))       # N10..N18
 F3_PATH = list(range(19, 28))       # N19..N27
 
+#: The paper's schedule as (flow, path, start, stop) rows, in seconds.
+FLOWS = (
+    ("F1", F1_PATH, F1_START_S, F1_STOP_S),
+    ("F2", F2_PATH, F2_START_S, F2_STOP_S),
+    ("F3", F3_PATH, F3_START_S, F3_STOP_S),
+)
 
-def scenario2_positions(spacing_m: float = 200.0) -> Dict[int, Tuple[float, float]]:
+
+def scenario2_positions() -> Dict[int, Tuple[float, float]]:
     """Coordinates for the three-chain reconstruction.
 
-    The slant (75 m of descent per 200 m of advance, 213.6 m hop length)
-    keeps each chain in the canonical regime — adjacent hops decode,
-    2-hop neighbours carrier-sense, 3-hop neighbours are hidden — while
-    bringing each tail within sensing range (300-525 m) of a segment of
-    F1 without creating any cross-chain reception edge.
+    Hops advance 200 m. The slant (75 m of descent per 200 m of advance,
+    213.6 m hop length) keeps each chain in the canonical regime —
+    adjacent hops decode, 2-hop neighbours carrier-sense, 3-hop
+    neighbours are hidden — while bringing each tail within sensing
+    range (300-525 m) of a segment of F1 without creating any
+    cross-chain reception edge.
     """
-    drop = 0.375 * spacing_m  # 75 m at the default spacing
-    top = 4.5 * spacing_m     # 900 m at the default spacing
     positions: Dict[int, Tuple[float, float]] = {}
     for i in F1_PATH:  # horizontal chain at y = 0
-        positions[i] = (i * spacing_m, 0.0)
+        positions[i] = (i * 200.0, 0.0)
     for rank, node in enumerate(F2_PATH):  # tail descends toward N0
-        positions[node] = (8 * spacing_m - rank * spacing_m, top - rank * drop)
+        positions[node] = (1600.0 - rank * 200.0, 900.0 - rank * 75.0)
     for rank, node in enumerate(F3_PATH):  # mirrored, tail toward N9
-        positions[node] = (spacing_m + rank * spacing_m, -top + rank * drop)
+        positions[node] = (200.0 + rank * 200.0, -900.0 + rank * 75.0)
     return positions
 
 
-def scenario2_network(
-    seed: int = 0,
-    rate_bps: float = 2_000_000.0,
-    packet_bytes: int = 1000,
-    time_scale: float = 1.0,
-    mac_config: Optional[DcfConfig] = None,
-    spacing_m: float = 200.0,
-) -> Network:
+def scenario2_network(seed: int = 0, time_scale: float = 1.0) -> Network:
     """Build scenario 2 with the paper's three-period flow schedule."""
     if time_scale <= 0:
         raise ValueError("time_scale must be positive")
-    connectivity = GeometricConnectivity(scenario2_positions(spacing_m), RangeModel())
     network = build_network(
-        connectivity,
-        seed=seed,
-        mac_config=mac_config,
-        description="scenario 2: three crossing flows with hidden sources (Figure 9)",
+        GeometricConnectivity(scenario2_positions(), RangeModel()), seed=seed
     )
-    network.routing.install_path(F1_PATH)
-    network.routing.install_path(F2_PATH)
-    network.routing.install_path(F3_PATH)
-
-    schedule = {
-        "F1": (F1_PATH, F1_START_S, F1_STOP_S),
-        "F2": (F2_PATH, F2_START_S, F2_STOP_S),
-        "F3": (F3_PATH, F3_START_S, F3_STOP_S),
-    }
-    for flow_id, (path, start_s, stop_s) in schedule.items():
-        flow = Flow(
-            flow_id,
-            src=path[0],
-            dst=path[-1],
-            start_us=seconds(start_s * time_scale),
-            stop_us=seconds(stop_s * time_scale),
-        )
-        network.flows[flow_id] = flow
-        network.nodes[path[-1]].register_flow(flow)
-        network.sources.append(
-            CbrSource(network.engine, network.nodes[path[0]], flow, rate_bps, packet_bytes)
+    for flow_id, path, start_s, stop_s in FLOWS:
+        network.add_flow(
+            flow_id, path, start_s=start_s * time_scale, stop_s=stop_s * time_scale
         )
     return network

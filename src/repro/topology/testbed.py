@@ -23,14 +23,11 @@ Section 6 also assumes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.mac.dcf import DcfConfig
-from repro.net.flow import Flow
 from repro.phy.connectivity import ExplicitConnectivity
-from repro.sim.units import seconds
 from repro.topology.builders import Network, build_network
-from repro.traffic.sources import CbrSource
 
 #: Measured mean capacity of links l0..l6 (Table 1), in kb/s.
 TESTBED_LINK_RATES_KBPS: Tuple[float, ...] = (845.0, 672.0, 408.0, 748.0, 746.0, 805.0, 648.0)
@@ -41,6 +38,12 @@ SRC2 = "N0p"
 
 #: The Madwifi firmware caps effective CWmin at 2^10 (Section 4.1).
 HW_CW_CAP = 1024
+
+#: The testbed's flows as (flow, path) rows; each runs for the whole run.
+TESTBED_FLOWS = (
+    ("F1", CHAIN),
+    ("F2", (SRC2, "N4", "N5", "N6", "N7")),
+)
 
 
 def _erasure_for_rate(rate_kbps: float, best_kbps: float) -> float:
@@ -73,51 +76,25 @@ def testbed_connectivity() -> ExplicitConnectivity:
 def testbed_network(
     seed: int = 0,
     flows: Tuple[str, ...] = ("F1", "F2"),
-    rate_bps: float = 2_000_000.0,
-    packet_bytes: int = 1000,
     hw_cw_cap: Optional[int] = HW_CW_CAP,
-    lossy_links: bool = True,
-    f1_start_s: float = 0.0,
-    f2_start_s: float = 0.0,
 ) -> Network:
     """Build the testbed with any subset of {F1, F2} active.
 
-    ``hw_cw_cap`` models the Madwifi limitation; pass None to lift it
-    (the paper's "once this limitation is removed" simulation check).
+    Each selected flow is a saturating 2 Mb/s CBR flow over its row of
+    :data:`TESTBED_FLOWS`; only selected flows are routed. ``hw_cw_cap``
+    models the Madwifi limitation; pass None to lift it (the paper's
+    "once this limitation is removed" simulation check).
     """
-    unknown = set(flows) - {"F1", "F2"}
+    unknown = set(flows) - {flow_id for flow_id, _path in TESTBED_FLOWS}
     if unknown:
         raise ValueError(f"unknown flows: {sorted(unknown)}")
-    mac_config = DcfConfig(hw_cw_cap=hw_cw_cap)
     network = build_network(
-        testbed_connectivity(),
-        seed=seed,
-        mac_config=mac_config,
-        description="9-node testbed (Figure 3)",
+        testbed_connectivity(), seed=seed, mac_config=DcfConfig(hw_cw_cap=hw_cw_cap)
     )
-    if lossy_links:
-        best = max(TESTBED_LINK_RATES_KBPS)
-        for i, rate in enumerate(TESTBED_LINK_RATES_KBPS):
-            loss = _erasure_for_rate(rate, best)
-            network.channel.set_link_loss(CHAIN[i], CHAIN[i + 1], loss)
-
-    f1_path = list(CHAIN)
-    f2_path = [SRC2, "N4", "N5", "N6", "N7"]
-    network.routing.install_path(f1_path)
-    network.routing.install_path(f2_path)
-
-    if "F1" in flows:
-        flow1 = Flow("F1", src="N0", dst="N7", start_us=seconds(f1_start_s))
-        network.flows["F1"] = flow1
-        network.nodes["N7"].register_flow(flow1)
-        network.sources.append(
-            CbrSource(network.engine, network.nodes["N0"], flow1, rate_bps, packet_bytes)
-        )
-    if "F2" in flows:
-        flow2 = Flow("F2", src=SRC2, dst="N7", start_us=seconds(f2_start_s))
-        network.flows["F2"] = flow2
-        network.nodes["N7"].register_flow(flow2)
-        network.sources.append(
-            CbrSource(network.engine, network.nodes[SRC2], flow2, rate_bps, packet_bytes)
-        )
+    best = max(TESTBED_LINK_RATES_KBPS)
+    for i, rate in enumerate(TESTBED_LINK_RATES_KBPS):
+        network.channel.set_link_loss(CHAIN[i], CHAIN[i + 1], _erasure_for_rate(rate, best))
+    for flow_id, path in TESTBED_FLOWS:
+        if flow_id in flows:
+            network.add_flow(flow_id, path)
     return network

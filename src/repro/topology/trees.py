@@ -17,27 +17,21 @@ scenario 1).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.mac.dcf import DcfConfig
-from repro.net.flow import Flow
 from repro.phy.connectivity import GeometricConnectivity
 from repro.phy.propagation import Position, RangeModel
-from repro.sim.units import seconds
 from repro.topology.builders import Network, build_network
-from repro.traffic.sources import CbrSource
 
 
 def tree_positions(
-    depth: int,
-    fanout: int,
-    spacing_m: float = 200.0,
+    depth: int, fanout: int
 ) -> Tuple[Dict[int, Position], Dict[int, List[int]]]:
     """Node coordinates and child lists for a regular tree.
 
     Node 0 is the root; children are laid out on arcs of increasing
-    radius, each subtree confined to its own angular sector so sibling
-    branches separate quickly.
+    radius, 200 m apart, each subtree confined to its own angular sector
+    so sibling branches separate quickly.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -55,7 +49,7 @@ def tree_positions(
         width = (hi - lo) / fanout
         for i in range(fanout):
             angle = lo + (i + 0.5) * width
-            radius = (level + 1) * spacing_m
+            radius = (level + 1) * 200.0
             child = next_id
             next_id += 1
             positions[child] = (
@@ -73,9 +67,6 @@ def tree_backhaul(
     fanout: int = 2,
     seed: int = 0,
     rate_bps: float = 400_000.0,
-    packet_bytes: int = 1000,
-    spacing_m: float = 200.0,
-    mac_config: Optional[DcfConfig] = None,
 ) -> Network:
     """Downlink tree: the gateway (root) streams one flow per leaf.
 
@@ -83,32 +74,14 @@ def tree_backhaul(
     the aggregate at the root saturates the medium — the regime where
     per-successor adaptation matters.
     """
-    positions, children = tree_positions(depth, fanout, spacing_m)
-    connectivity = GeometricConnectivity(positions, RangeModel())
-    network = build_network(
-        connectivity,
-        seed=seed,
-        mac_config=mac_config,
-        description=f"gateway tree, depth {depth}, fanout {fanout}",
-    )
+    positions, children = tree_positions(depth, fanout)
+    network = build_network(GeometricConnectivity(positions, RangeModel()), seed=seed)
 
-    # Install a route from the root to every leaf along the tree.
+    # One flow from the root to every leaf, routed along the tree.
     def walk(node: int, path: List[int]) -> None:
         path = path + [node]
         if not children[node]:
-            network.routing.install_path(path)
-            flow = Flow(f"leaf{node}", src=0, dst=node)
-            network.flows[flow.flow_id] = flow
-            network.nodes[node].register_flow(flow)
-            network.sources.append(
-                CbrSource(
-                    network.engine,
-                    network.nodes[0],
-                    flow,
-                    rate_bps,
-                    packet_bytes,
-                )
-            )
+            network.add_flow(f"leaf{node}", path, rate_bps=rate_bps)
             return
         for child in children[node]:
             walk(child, path)
@@ -116,8 +89,3 @@ def tree_backhaul(
     for child in children[0]:
         walk(child, [0])
     return network
-
-
-def leaves_of(network: Network) -> List[int]:
-    """Leaf node ids of a tree built by :func:`tree_backhaul`."""
-    return [flow.dst for flow in network.flows.values()]

@@ -1,8 +1,8 @@
-"""Traffic generation: CBR (the paper's workload), Poisson, on/off
-bursts, and declarative workload mixes over arbitrary flow sets."""
+"""Traffic generation: CBR (the paper's workload), saturated and on/off
+sources, and declarative workload mixes over arbitrary flow sets."""
 
 from repro.traffic.onoff import OnOffSource
-from repro.traffic.sources import CbrSource, PoissonSource, SaturatedSource
+from repro.traffic.sources import CbrSource, SaturatedSource
 from repro.traffic.workloads import (
     WORKLOAD_KINDS,
     AttachedFlow,
@@ -12,7 +12,6 @@ from repro.traffic.workloads import (
 
 __all__ = [
     "CbrSource",
-    "PoissonSource",
     "SaturatedSource",
     "OnOffSource",
     "WORKLOAD_KINDS",

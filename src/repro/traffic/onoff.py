@@ -29,14 +29,13 @@ class OnOffSource(_SourceBase):
         rng: RngRegistry,
         mean_on_s: float = 20.0,
         mean_off_s: float = 10.0,
-        packet_bytes: int = DEFAULT_PACKET_BYTES,
     ):
-        super().__init__(engine, node, flow, packet_bytes)
+        super().__init__(engine, node, flow)
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
         if mean_on_s <= 0 or mean_off_s <= 0:
             raise ValueError("period means must be positive")
-        self.interval_us = max(1, int(round(packet_bytes * 8 * US_PER_S / rate_bps)))
+        self.interval_us = max(1, int(round(DEFAULT_PACKET_BYTES * 8 * US_PER_S / rate_bps)))
         self.mean_on_us = seconds(mean_on_s)
         self.mean_off_us = seconds(mean_off_s)
         self.rng = rng.stream(f"traffic.onoff.{flow.flow_id}")

@@ -2,40 +2,31 @@
 
 The paper drives every flow with CBR at 2 Mb/s — i.e. well above channel
 capacity, so the source queue is permanently backlogged ("saturated
-mode"). ``CbrSource`` reproduces that; ``PoissonSource`` supports the
-load-sweep ablations; ``SaturatedSource`` keeps the source MAC queue
-topped up without modelling inter-arrival times at all (the greedy
-access point of Figure 1).
+mode"). ``CbrSource`` reproduces that, and below capacity drives the
+load sweep; ``SaturatedSource`` keeps the source MAC queue topped up
+without modelling inter-arrival times at all (the greedy access point
+of Figure 1). Every source sends ``DEFAULT_PACKET_BYTES`` packets, and
+``Network.add_flow`` is where the paper layouts attach them.
 """
 
 from __future__ import annotations
-
-from typing import Hashable, Optional
 
 from repro.net.flow import Flow
 from repro.net.node import NodeStack
 from repro.net.packet import DEFAULT_PACKET_BYTES, Packet
 from repro.sim.engine import Engine
-from repro.sim.rng import RngRegistry
 from repro.sim.units import US_PER_S
 
 
 class _SourceBase:
     """Common flow bookkeeping for all sources."""
 
-    def __init__(
-        self,
-        engine: Engine,
-        node: NodeStack,
-        flow: Flow,
-        packet_bytes: int = DEFAULT_PACKET_BYTES,
-    ):
+    def __init__(self, engine: Engine, node: NodeStack, flow: Flow):
         if flow.src != node.node_id:
             raise ValueError("flow source must be the attached node")
         self.engine = engine
         self.node = node
         self.flow = flow
-        self.packet_bytes = packet_bytes
         self._seq = 0
         self._started = False
 
@@ -55,7 +46,6 @@ class _SourceBase:
             seq=seq,
             src=flow.src,
             dst=flow.dst,
-            size_bytes=self.packet_bytes,
             created_at=self.engine.now,
         )
 
@@ -92,13 +82,11 @@ class CbrSource(_SourceBase):
         node: NodeStack,
         flow: Flow,
         rate_bps: float = 2_000_000.0,
-        packet_bytes: int = DEFAULT_PACKET_BYTES,
     ):
-        super().__init__(engine, node, flow, packet_bytes)
+        super().__init__(engine, node, flow)
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
-        self.rate_bps = rate_bps
-        self.interval_us = max(1, int(round(packet_bytes * 8 * US_PER_S / rate_bps)))
+        self.interval_us = max(1, int(round(DEFAULT_PACKET_BYTES * 8 * US_PER_S / rate_bps)))
 
     def _tick(self) -> None:
         engine = self.engine
@@ -113,51 +101,18 @@ class CbrSource(_SourceBase):
         engine.post(self.interval_us, self._tick)
 
 
-class PoissonSource(_SourceBase):
-    """Poisson packet arrivals at a mean rate (load-sweep ablations)."""
-
-    def __init__(
-        self,
-        engine: Engine,
-        node: NodeStack,
-        flow: Flow,
-        rate_bps: float,
-        rng: RngRegistry,
-        packet_bytes: int = DEFAULT_PACKET_BYTES,
-    ):
-        super().__init__(engine, node, flow, packet_bytes)
-        if rate_bps <= 0:
-            raise ValueError("rate must be positive")
-        self.mean_interval_us = packet_bytes * 8 * US_PER_S / rate_bps
-        self.rng = rng.stream(f"traffic.poisson.{flow.flow_id}")
-
-    def _tick(self) -> None:
-        now = self.engine.now
-        if self.flow.stop_us is not None and now >= self.flow.stop_us:
-            return
-        if self.flow.active_at(now):
-            self._emit()
-        delay = max(1, int(self.rng.expovariate(1.0 / self.mean_interval_us)))
-        self.engine.post(delay, self._tick)
-
-
 class SaturatedSource(_SourceBase):
     """Keeps the source queue full — the greedy access point of Figure 1.
 
-    Refills the node's own-traffic queue to capacity on a fixed polling
-    cadence; the MAC therefore never idles for lack of local traffic.
+    Refills the node's own-traffic queue to capacity every
+    ``POLL_INTERVAL_US``; the MAC therefore never idles for lack of local
+    traffic.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        node: NodeStack,
-        flow: Flow,
-        packet_bytes: int = DEFAULT_PACKET_BYTES,
-        poll_interval_us: int = 2_000,
-    ):
-        super().__init__(engine, node, flow, packet_bytes)
-        self.poll_interval_us = poll_interval_us
+    POLL_INTERVAL_US = 2_000
+
+    def __init__(self, engine: Engine, node: NodeStack, flow: Flow):
+        super().__init__(engine, node, flow)
         # Routing is static for the lifetime of a network, so the (queue,
         # entity) pair is resolved once instead of on every 2 ms poll.
         self._target = None
@@ -179,4 +134,4 @@ class SaturatedSource(_SourceBase):
                 while not queue.is_full():
                     queue.push(self._make_packet())
                 entity.notify_enqueue()
-        engine.post(self.poll_interval_us, self._tick)
+        engine.post(self.POLL_INTERVAL_US, self._tick)

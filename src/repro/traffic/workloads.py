@@ -1,13 +1,14 @@
 """Workload layer: declarative traffic mixes over arbitrary flows.
 
 Topology modules wire networks; this module populates them with
-traffic. A :class:`WorkloadSpec` names a workload kind and its knobs;
+traffic. A :class:`WorkloadSpec` names a workload kind and its rate;
 :func:`attach_workload` instantiates the matching sources (or windowed
 transports) for a list of (source, destination) endpoints, registering
-flows and reverse routes as needed. The generated-topology experiment
-family (:mod:`repro.experiments.meshgen`) drives all of its scenarios
-through this layer, so every workload kind is exercised on every
-generator kind.
+flows and reverse routes as needed. The recipe's other knobs are the
+module constants below, which both engine tiers read. The
+generated-topology experiment family (:mod:`repro.experiments.meshgen`)
+drives all of its scenarios through this layer, so every workload kind
+is exercised on every generator kind.
 
 Kinds:
 
@@ -23,18 +24,29 @@ Kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Hashable, List, Sequence, Tuple
 
 from repro.net.flow import Flow
-from repro.sim.units import seconds
-from repro.topology.builders import Network
+from repro.net.packet import DEFAULT_PACKET_BYTES
 from repro.traffic.onoff import OnOffSource
 from repro.traffic.sources import CbrSource
 from repro.transport import TransportConfig, WindowedSender, install_reverse_routes
 
+if TYPE_CHECKING:  # builders imports traffic.sources, whose package imports this
+    from repro.topology.builders import Network
+
 WORKLOAD_KINDS = ("cbr", "onoff", "windowed", "mixed")
 
 _MIX_CYCLE = ("cbr", "onoff", "windowed")
+
+#: Data packet size of every kind, in bytes.
+PACKET_BYTES = DEFAULT_PACKET_BYTES
+#: Mean on and off period lengths of the ``onoff`` kind, in seconds.
+MEAN_ON_S = 4.0
+MEAN_OFF_S = 2.0
+#: Packets in flight, and data packets per cumulative ACK, of ``windowed``.
+WINDOW = 8
+ACK_EVERY = 2
 
 
 @dataclass(frozen=True)
@@ -43,12 +55,6 @@ class WorkloadSpec:
 
     kind: str = "cbr"
     rate_bps: float = 250_000.0
-    packet_bytes: int = 1000
-    mean_on_s: float = 4.0
-    mean_off_s: float = 2.0
-    window: int = 8
-    ack_every: int = 2
-    start_s: float = 0.0
 
     def __post_init__(self):
         if self.kind not in WORKLOAD_KINDS:
@@ -91,18 +97,12 @@ def attach_workload(
     attached: List[AttachedFlow] = []
     for index, (src, dst) in enumerate(endpoints):
         kind = spec.kind_for(index)
-        flow = Flow(
-            f"{flow_prefix}{index}", src=src, dst=dst, start_us=seconds(spec.start_s)
-        )
+        flow = Flow(f"{flow_prefix}{index}", src=src, dst=dst)
         network.flows[flow.flow_id] = flow
         network.nodes[dst].register_flow(flow)
         if kind == "cbr":
             driver: object = CbrSource(
-                network.engine,
-                network.nodes[src],
-                flow,
-                rate_bps=spec.rate_bps,
-                packet_bytes=spec.packet_bytes,
+                network.engine, network.nodes[src], flow, rate_bps=spec.rate_bps
             )
         elif kind == "onoff":
             driver = OnOffSource(
@@ -111,9 +111,8 @@ def attach_workload(
                 flow,
                 rate_bps=spec.rate_bps,
                 rng=network.rng,
-                mean_on_s=spec.mean_on_s,
-                mean_off_s=spec.mean_off_s,
-                packet_bytes=spec.packet_bytes,
+                mean_on_s=MEAN_ON_S,
+                mean_off_s=MEAN_OFF_S,
             )
         else:
             forward_path = network.routing.path(src, dst)
@@ -124,9 +123,7 @@ def attach_workload(
                 network.nodes[dst],
                 flow,
                 TransportConfig(
-                    window=spec.window,
-                    data_bytes=spec.packet_bytes,
-                    ack_every=spec.ack_every,
+                    window=WINDOW, data_bytes=PACKET_BYTES, ack_every=ACK_EVERY
                 ),
             )
         network.sources.append(driver)

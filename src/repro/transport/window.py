@@ -16,7 +16,7 @@ routed back to the source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Hashable, List, Optional
 
 from repro.net.flow import Flow
 from repro.net.node import NodeStack

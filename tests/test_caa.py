@@ -1,7 +1,5 @@
 """Tests for the Channel Access Adaptation (Algorithm 1, CAA module)."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 

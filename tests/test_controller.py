@@ -1,7 +1,5 @@
 """Tests for the EZ-flow controller wiring (BOE + CAA on a node stack)."""
 
-import pytest
-
 from repro.core import ChannelAccessAdapter, EZFlowConfig, EZFlowController, attach_ezflow
 from repro.sim.units import seconds
 from repro.topology.linear import linear_chain
@@ -65,7 +63,7 @@ class TestEstimation:
         stay in the send history and inflate the estimate — a
         conservative bias that only strengthens the congestion signal.)
         """
-        network = linear_chain(hops=3, seed=2, saturated=False, rate_bps=150_000.0)
+        network = linear_chain(hops=3, seed=2, rate_bps=150_000.0)
         controller = EZFlowController(network.nodes[0])
         errors = []
 

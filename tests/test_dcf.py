@@ -91,14 +91,12 @@ class TestSingleLink:
         config = DcfConfig(retry_limit=3)
         engine, channel, (tx, rx) = make_pair(config=config)
         channel.set_link_loss(0, 1, 1.0)
-        drops = []
-        tx.on_tx_drop = lambda entity, pkt: drops.append(pkt)
         queue = FifoQueue()
         entity = tx.add_entity("q", queue, successor=1)
         queue.push(packet())
         entity.notify_enqueue()
         engine.run(until=10_000_000)
-        assert len(drops) == 1
+        assert entity.tx_drops == 1
         assert entity.tx_attempts == 4  # initial + 3 retries
         assert queue.is_empty()
 

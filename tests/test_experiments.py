@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.experiments import experiment_ids, get_experiment
 from repro.experiments import fig1, stability, table1
 from repro.experiments.common import ExperimentResult, Table, sparkline, throughput_gain
+from repro.experiments.specs import get_spec, spec_ids
 
 
 class TestTable:
@@ -65,7 +65,7 @@ class TestHelpers:
 
 class TestRegistry:
     def test_all_paper_artifacts_registered(self):
-        ids = experiment_ids()
+        ids = spec_ids()
         for required in (
             "fig1",
             "table1",
@@ -83,12 +83,12 @@ class TestRegistry:
             assert required in ids
 
     def test_aliases_resolve_to_shared_harness(self):
-        assert get_experiment("fig6") is get_experiment("scenario1")
-        assert get_experiment("table3") is get_experiment("scenario2")
+        assert get_spec("fig6").resolve() is get_spec("scenario1").resolve()
+        assert get_spec("table3").resolve() is get_spec("scenario2").resolve()
 
     def test_unknown_id_raises(self):
         with pytest.raises(KeyError):
-            get_experiment("fig99")
+            get_spec("fig99")
 
 
 class TestSmokeRuns:

@@ -119,7 +119,8 @@ class TestAdaptivity:
     def test_ezflow_relaxes_after_congestion_clears(self):
         """Traffic-matrix change: windows ratchet up under load and
         decay back once the flow stops (the paper's period-3 check)."""
-        network = linear_chain(hops=4, seed=3, stop_s=60.0)
+        network = linear_chain(hops=4, seed=3)
+        network.flow("F1").stop_us = seconds(60)
         controllers = attach_ezflow(network.nodes)
         network.run(until_us=seconds(60))
         cw_loaded = controllers[0].current_cw(1)

@@ -208,7 +208,7 @@ class TestMediumEdgeGate:
         # Above capacity the source backs off most of the time, the
         # relays fall idle between packets, and the sink (node 3) never
         # has an entity at all.
-        network = linear_chain(hops=3, seed=2, saturated=False, rate_bps=500_000.0)
+        network = linear_chain(hops=3, seed=2, rate_bps=500_000.0)
         edges = {"busy": 0, "idle": 0}
         idle_macs = {"busy": 0, "idle": 0}
         resuming = set()

@@ -117,13 +117,3 @@ class TestBufferSampler:
         sampler.start()
         with pytest.raises(RuntimeError):
             sampler.start()
-
-    def test_forwarding_only_mode(self):
-        network = linear_chain(hops=3, seed=1)
-        sampler = BufferSampler(
-            network.engine, network.nodes, [0], interval_s=1.0, forwarding_only=True
-        )
-        sampler.start()
-        network.run(until_us=seconds(5))
-        # The source has no forwarding queue: all samples zero.
-        assert all(v == 0 for v in sampler.series_for(0).values)

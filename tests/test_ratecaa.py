@@ -133,31 +133,31 @@ class TestRateCaa:
 
 class TestRateControllerEndToEnd:
     def test_stabilizes_4hop_chain(self):
-        network = linear_chain(hops=4, seed=3, saturated=False, rate_bps=2_000_000)
+        network = linear_chain(hops=4, seed=3, rate_bps=2_000_000)
         attach_rate_ezflow(network.nodes)
         network.run(until_us=seconds(300))
         for relay in (1, 2, 3):
             assert network.nodes[relay].total_buffer_occupancy() <= 20
 
     def test_throttles_the_source(self):
-        network = linear_chain(hops=4, seed=3, saturated=False, rate_bps=2_000_000)
+        network = linear_chain(hops=4, seed=3, rate_bps=2_000_000)
         controllers = attach_rate_ezflow(network.nodes)
         network.run(until_us=seconds(300))
         source_rate = controllers[0].current_rate(1)
         assert source_rate is not None and source_rate < MAX_RATE_PPS
 
     def test_improves_throughput_over_std(self):
-        std = linear_chain(hops=4, seed=3, saturated=False, rate_bps=2_000_000)
+        std = linear_chain(hops=4, seed=3, rate_bps=2_000_000)
         std.run(until_us=seconds(300))
         std_thr = std.flow("F1").throughput_bps(seconds(150), seconds(300))
 
-        paced = linear_chain(hops=4, seed=3, saturated=False, rate_bps=2_000_000)
+        paced = linear_chain(hops=4, seed=3, rate_bps=2_000_000)
         attach_rate_ezflow(paced.nodes)
         paced.run(until_us=seconds(300))
         paced_thr = paced.flow("F1").throughput_bps(seconds(150), seconds(300))
         assert paced_thr > 1.5 * std_thr
 
     def test_current_rate_unknown_successor(self):
-        network = linear_chain(hops=3, seed=1, saturated=False)
+        network = linear_chain(hops=3, seed=1, rate_bps=2_000_000.0)
         controllers = attach_rate_ezflow(network.nodes)
         assert controllers[0].current_rate(99) is None

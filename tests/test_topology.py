@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.phy.propagation import distance
+from repro.phy.connectivity import GeometricConnectivity
+from repro.phy.propagation import RangeModel, distance
 from repro.sim.units import seconds
-from repro.topology.builders import build_chain_positions
+from repro.topology.builders import build_chain_positions, build_network
 from repro.topology.linear import linear_chain
 from repro.topology.scenario1 import F1_PATH as S1_F1, F2_PATH as S1_F2, scenario1_network, scenario1_positions
 from repro.topology.scenario2 import (
@@ -20,17 +21,45 @@ from repro.topology.testbed import (
     testbed_connectivity as build_testbed_connectivity,
     testbed_network as build_testbed_network,
 )
+from repro.traffic.sources import CbrSource, SaturatedSource
 
 
 class TestChainPositions:
     def test_spacing(self):
-        positions = build_chain_positions(4, 200.0)
+        positions = build_chain_positions(4)
         assert distance(positions[0], positions[1]) == 200.0
         assert distance(positions[0], positions[3]) == 600.0
 
     def test_minimum_two_nodes(self):
         with pytest.raises(ValueError):
             build_chain_positions(1)
+
+
+class TestAddFlow:
+    def _chain(self):
+        positions = build_chain_positions(3)
+        return build_network(GeometricConnectivity(positions, RangeModel()), seed=1)
+
+    def test_routes_registers_and_sources_a_cbr_flow(self):
+        network = self._chain()
+        flow = network.add_flow("A", [0, 1, 2], rate_bps=100_000, start_s=1.0, stop_s=2.0)
+        assert network.flows == {"A": flow}
+        assert (flow.src, flow.dst) == (0, 2)
+        assert (flow.start_us, flow.stop_us) == (seconds(1), seconds(2))
+        assert network.routing.path(0, 2) == [0, 1, 2]
+        (source,) = network.sources
+        assert isinstance(source, CbrSource) and source.flow is flow
+        network.run(until_us=seconds(3))
+        # One 1000-byte packet every 80 ms over [1 s, 2 s), all delivered
+        # to the sink the flow is registered at.
+        assert flow.generated == 13
+        assert flow.delivered == 13
+
+    def test_no_rate_means_saturated(self):
+        network = self._chain()
+        flow = network.add_flow("A", [2, 1, 0], rate_bps=None)
+        assert flow.stop_us is None
+        assert isinstance(network.sources[0], SaturatedSource)
 
 
 class TestLinearChain:
@@ -52,7 +81,7 @@ class TestLinearChain:
             linear_chain(hops=0)
 
     def test_cbr_variant(self):
-        network = linear_chain(hops=2, saturated=False, rate_bps=100_000)
+        network = linear_chain(hops=2, rate_bps=100_000)
         network.run(until_us=seconds(2))
         assert network.flows["F1"].generated > 0
 
@@ -91,6 +120,8 @@ class TestTestbed:
     def test_flow_subset_selection(self):
         network = build_testbed_network(flows=("F1",))
         assert set(network.flows) == {"F1"}
+        # An unselected flow is not routed either.
+        assert not network.routing.has_route(SRC2, "N7")
         with pytest.raises(ValueError):
             build_testbed_network(flows=("F9",))
 
@@ -114,9 +145,12 @@ class TestTestbed:
         network = build_testbed_network(hw_cw_cap=None)
         assert network.nodes["N0"].mac.config.hw_cw_cap is None
 
-    def test_lossy_links_configurable(self):
-        lossless = build_testbed_network(lossy_links=False)
-        assert lossless.channel._loss == {}
+    def test_calibrated_losses_on_every_chain_link(self):
+        network = build_testbed_network(flows=("F2",))
+        links = set(zip(CHAIN, CHAIN[1:]))
+        assert set(network.channel._loss) == links
+        assert network.channel._loss[("N0", "N1")] == 0.0
+        assert max(network.channel._loss.values()) == network.channel._loss[("N2", "N3")]
 
 
 class TestScenario1:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.flow import Flow
 from repro.sim.units import seconds
-from repro.traffic.sources import CbrSource, PoissonSource, SaturatedSource
+from repro.traffic.sources import CbrSource, SaturatedSource
 from repro.topology.builders import build_network, build_chain_positions
 from repro.phy.connectivity import GeometricConnectivity
 from repro.phy.propagation import RangeModel
@@ -23,13 +23,13 @@ def two_node_network(seed=0):
 class TestCbrSource:
     def test_interval_from_rate(self):
         network, flow = two_node_network()
-        source = CbrSource(network.engine, network.nodes[0], flow, 2_000_000.0, 1000)
+        source = CbrSource(network.engine, network.nodes[0], flow, 2_000_000.0)
         # 8000 bits at 2 Mb/s = 4 ms
         assert source.interval_us == 4000
 
     def test_generates_at_rate(self):
         network, flow = two_node_network()
-        source = CbrSource(network.engine, network.nodes[0], flow, 400_000.0, 1000)
+        source = CbrSource(network.engine, network.nodes[0], flow, 400_000.0)
         source.start()
         network.engine.run(until=seconds(1))
         # 400 kb/s / 8 kb per packet = 50 pkt/s
@@ -38,7 +38,7 @@ class TestCbrSource:
     def test_respects_start_time(self):
         network, flow = two_node_network()
         flow.start_us = seconds(0.5)
-        source = CbrSource(network.engine, network.nodes[0], flow, 400_000.0, 1000)
+        source = CbrSource(network.engine, network.nodes[0], flow, 400_000.0)
         source.start()
         network.engine.run(until=seconds(1))
         assert flow.generated == pytest.approx(25, abs=2)
@@ -46,7 +46,7 @@ class TestCbrSource:
     def test_stops_at_stop_time(self):
         network, flow = two_node_network()
         flow.stop_us = seconds(0.5)
-        source = CbrSource(network.engine, network.nodes[0], flow, 400_000.0, 1000)
+        source = CbrSource(network.engine, network.nodes[0], flow, 400_000.0)
         source.start()
         network.engine.run(until=seconds(2))
         assert flow.generated == pytest.approx(25, abs=2)
@@ -67,30 +67,6 @@ class TestCbrSource:
         source.start()
         with pytest.raises(RuntimeError):
             source.start()
-
-
-class TestPoissonSource:
-    def test_mean_rate(self):
-        network, flow = two_node_network(seed=9)
-        source = PoissonSource(
-            network.engine, network.nodes[0], flow, 400_000.0, network.rng, 1000
-        )
-        source.start()
-        network.engine.run(until=seconds(10))
-        # 50 pkt/s expected over 10 s -> 500, Poisson sd ~22
-        assert 400 < flow.generated < 600
-
-    def test_deterministic_given_seed(self):
-        counts = []
-        for _ in range(2):
-            network, flow = two_node_network(seed=5)
-            source = PoissonSource(
-                network.engine, network.nodes[0], flow, 200_000.0, network.rng, 1000
-            )
-            source.start()
-            network.engine.run(until=seconds(5))
-            counts.append(flow.generated)
-        assert counts[0] == counts[1]
 
 
 class TestSaturatedSource:

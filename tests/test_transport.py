@@ -10,7 +10,7 @@ from repro.transport import TransportConfig, WindowedSender, install_reverse_rou
 
 
 def build(hops=4, seed=3, window=8, ack_every=1, timeout_s=2.0, total_packets=None):
-    network = linear_chain(hops=hops, seed=seed, saturated=False, rate_bps=1000)
+    network = linear_chain(hops=hops, seed=seed, rate_bps=1000)
     network.sources.clear()  # replace the CBR source with the transport
     path = list(range(hops + 1))
     install_reverse_routes(network.routing, path)
