@@ -4,14 +4,15 @@ Run from the repo root::
 
     PYTHONPATH=src python tests/make_goldens.py
 
-The goldens pin the exact bytes of representative exports — eight short
+The goldens pin the exact bytes of representative exports — nine short
 paper harness runs (the saturated Figure 1 chain, the CBR testbed of
 Table 2 and the relay buffer series Figure 4 samples on it, the
 scenario 1 and 2 schedules with their EZ-flow window series, a CBR
-load sweep, Table 1's isolated links and the windowed transport over
-the chain) and six generated-topology (meshgen) runs covering
-both engine tiers, every adaptive slotted window rule and the dynamic
-loss/churn axes — so any change to
+load sweep, Table 1's isolated links, the windowed transport over
+the chain and the Section 6 chain model's stability check) and seven
+generated-topology (meshgen) runs covering both engine tiers, every
+adaptive slotted window rule, the event tier's static penalty baseline
+and the dynamic loss/churn axes — so any change to
 simulator semantics, RNG draw order, or export formatting shows up as
 a byte diff in ``tests/test_golden_exports.py``. Only regenerate them
 when an *intentional* behaviour change is being made, and say so in
@@ -58,6 +59,9 @@ GOLDEN_RUNS = (
         {"duration_s": 20.0, "warmup_s": 5.0, "windows": (4, 64)},
         "bidirectional_short",
     ),
+    # Section 6: the slotted chain model's random walk under the EZ-flow
+    # rule f and standard 802.11, and Theorem 1's drift check.
+    ("stability", {"slots": 4000, "trials": 40}, "stability_short"),
     (
         "meshgen",
         {
@@ -71,6 +75,21 @@ GOLDEN_RUNS = (
             "seed": 11,
         },
         "meshgen_mesh16",
+    ),
+    # The static penalty baseline on the event tier: CWmin pinned at every
+    # transmit entity, sources throttled by q.
+    (
+        "meshgen",
+        {
+            "topology": "mesh",
+            "nodes": 16,
+            "flows": 3,
+            "algorithm": "penalty",
+            "duration_s": 4.0,
+            "warmup_s": 1.0,
+            "seed": 11,
+        },
+        "meshgen_event_penalty",
     ),
     # The dynamic axes on both tiers: the Dynamic link state table, the
     # per-link loss models and churn application (down, move, up).

@@ -15,6 +15,7 @@ from repro.net.packet import Packet
 from repro.sim.engine import Engine
 from repro.sim.units import seconds
 from repro.topology.linear import linear_chain
+from repro.topology.trees import tree_backhaul
 
 # Heavy end-to-end simulations: excluded from the CI fast lane.
 pytestmark = pytest.mark.slow
@@ -161,3 +162,75 @@ class TestRateControllerEndToEnd:
         network = linear_chain(hops=3, seed=1, rate_bps=2_000_000.0)
         controllers = attach_rate_ezflow(network.nodes)
         assert controllers[0].current_rate(99) is None
+
+
+def observe_rate_run(network, duration_s):
+    """Attach the rate variant, run, and read back what it controls."""
+    controllers = attach_rate_ezflow(network.nodes)
+    network.run(until_us=seconds(duration_s))
+    return {
+        "flows": {fid: (f.generated, f.delivered) for fid, f in network.flows.items()},
+        "source_drops": {n: s.source_drops for n, s in network.nodes.items() if s.source_drops},
+        "occupancy": {n: s.total_buffer_occupancy() for n, s in network.nodes.items()},
+        # (node, successor) -> (pacing rate in pkt/s, packets in the pacer)
+        "paced": {
+            (n, successor): (c.current_rate(successor), len(scheduler.upper))
+            for n, c in controllers.items()
+            for successor, scheduler in c.schedulers.items()
+        },
+        "events": network.engine.processed_events,
+    }
+
+
+#: Exact outcomes of two rate-variant runs: the unstable 4-hop chain
+#: (seed 3, 2 Mb/s, 120 s) and a depth-2 gateway tree (seed 1, 600 kb/s
+#: per leaf, 60 s). By the end the chain's source paces at 64 pkt/s and
+#: the tree's root at 128 toward each child, so CAA decisions are
+#: pinned, not just the pacer at its initial rate.
+RATE_PINS = {
+    "chain": (
+        lambda: linear_chain(hops=4, seed=3, rate_bps=2_000_000.0),
+        120.0,
+        {
+            "flows": {"F1": (30001, 1552)},
+            "source_drops": {0: 19532},
+            "occupancy": {0: 2, 1: 2, 2: 2, 3: 1, 4: 0},
+            "paced": {
+                (0, 1): (64.0, 100),
+                (1, 2): (256.0, 99),
+                (2, 3): (256.0, 8),
+                (3, 4): (256.0, 0),
+            },
+            "events": 193843,
+        },
+    ),
+    "tree": (
+        lambda: tree_backhaul(depth=2, fanout=2, seed=1, rate_bps=600_000.0),
+        60.0,
+        {
+            "flows": {
+                "leaf3": (4501, 456),
+                "leaf4": (4501, 310),
+                "leaf5": (4501, 470),
+                "leaf6": (4501, 358),
+            },
+            "source_drops": {0: 12605},
+            "occupancy": {0: 4, 1: 2, 2: 4, 3: 0, 4: 0, 5: 0, 6: 0},
+            "paced": {
+                (0, 1): (128.0, 100),
+                (0, 2): (128.0, 100),
+                (1, 3): (256.0, 100),
+                (1, 4): (256.0, 0),
+                (2, 5): (256.0, 100),
+                (2, 6): (256.0, 7),
+            },
+            "events": 180233,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATE_PINS))
+def test_rate_variant_reproduces_pinned_run(name):
+    build, duration_s, expected = RATE_PINS[name]
+    assert observe_rate_run(build(), duration_s) == expected
