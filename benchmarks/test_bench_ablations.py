@@ -9,8 +9,6 @@ chain and reports/asserts its effect:
 * per-successor queues vs the paper's requirement.
 """
 
-import pytest
-
 from repro.core import EZFlowConfig, attach_ezflow
 from repro.sim.units import seconds
 from repro.topology.linear import linear_chain

@@ -1,7 +1,6 @@
 """Table 1 bench: isolated testbed link capacities, l2 bottleneck."""
 
 from repro.experiments import table1
-from repro.topology.testbed import TESTBED_LINK_RATES_KBPS
 
 
 def test_bench_table1(benchmark, once):

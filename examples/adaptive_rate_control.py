@@ -33,7 +33,7 @@ def run(variant: str, duration_s: float, seed: int):
     actuators = {}
     for node_id, controller in controllers.items():
         for successor, caa in controller.caas.items():
-            value = getattr(caa, "cw", None) or round(caa.rate_pps, 2)
+            value = caa.cw if variant == "cw" else controller.current_rate(successor)
             actuators[f"{node_id}->{successor}"] = value
     return throughput, buffers, actuators
 

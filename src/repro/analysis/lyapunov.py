@@ -20,6 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.regions import REGIONS_4HOP, region_of
 from repro.analysis.slotted import EZFlowRule, ModelConfig, SlottedChainModel
+from repro.core.config import EZFlowConfig
+
+#: EZ-flow's thresholds and window bounds (the paper's defaults).
+_EZFLOW = EZFlowConfig()
 
 #: k(b) per region, as established in the proof of Theorem 1.
 THEOREM1_K: Dict[str, int] = {"B": 25, "C": 4, "D": 2, "E": 2, "F": 1, "G": 3, "H": 1}
@@ -76,10 +80,10 @@ def _congestion_adapted_cw(
     every other node sits at ``mincw``. This mirrors the proof, which
     evaluates the drift in the regime the adaptation has produced.
     """
-    cw = [config.mincw] * config.hops
+    cw = [_EZFLOW.mincw] * config.hops
     for i, b in enumerate(relay_buffers, start=1):
-        if b > config.b_max:
-            cw[i - 1] = config.maxcw
+        if b > _EZFLOW.b_max:
+            cw[i - 1] = _EZFLOW.maxcw
     return cw
 
 
@@ -104,18 +108,14 @@ def exact_k_step_drift(
     hops = cfg.hops
     if initial_cw is None:
         initial_cw = _congestion_adapted_cw(initial_buffers, cfg)
+    rule = EZFlowRule(cfg)
 
     def apply_pattern(buffers, cw, pattern):
         new_b = list(buffers)
         for i in range(1, hops):
             new_b[i] = max(0.0, new_b[i] + pattern[i - 1] - pattern[i])
         new_cw = list(cw)
-        for i in range(hops):
-            b_next = new_b[i + 1] if i + 1 < hops else 0.0
-            if b_next > cfg.b_max:
-                new_cw[i] = min(new_cw[i] * 2, cfg.maxcw)
-            elif b_next < cfg.b_min:
-                new_cw[i] = max(new_cw[i] // 2, cfg.mincw)
+        rule.update(new_cw, new_b)
         return tuple(new_b), tuple(new_cw)
 
     def expected_h(buffers, cw, depth) -> float:
@@ -149,12 +149,9 @@ class DriftReport:
         return self.drift < 0.0
 
 
-def representative_state(
-    region: str, high: float = 60.0, config: Optional[ModelConfig] = None
-) -> Tuple[float, float, float]:
+def representative_state(region: str, high: float = 60.0) -> Tuple[float, float, float]:
     """A state of the given region far outside S (nonzero entries = high)."""
-    cfg = config or ModelConfig(hops=4)
-    if high <= cfg.b_max:
+    if high <= _EZFLOW.b_max:
         raise ValueError("representative states must exceed b_max")
     signature = REGIONS_4HOP[region]
     return tuple(high if nonzero else 0.0 for nonzero in signature)
@@ -180,7 +177,7 @@ def verify_theorem1(
     ks = k_values or THEOREM1_K
     reports: List[DriftReport] = []
     for region, k in ks.items():
-        buffers = representative_state(region, high, cfg)
+        buffers = representative_state(region, high)
         assert region_of(*buffers) == region
         if k <= exact_max_k:
             drift = exact_k_step_drift(buffers, k, cfg)

@@ -6,7 +6,8 @@ each step draws an activation vector from the winner process, applies
 ``cw``. Two rules are provided:
 
 * :class:`EZFlowRule` — the paper's f(cw_i, b_{i+1}): double above
-  ``b_max``, halve below ``b_min``, clamp to [mincw, maxcw];
+  ``b_max``, halve below ``b_min``, clamp to [mincw, maxcw], with the
+  thresholds and bounds of :class:`~repro.core.config.EZFlowConfig`;
 * :class:`FixedCwRule` — standard 802.11: windows never change.
 
 The model exposes the state pieces the stability analysis needs: region
@@ -20,26 +21,26 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.activation import sample_activation
+from repro.core.config import EZFlowConfig
 
 INF = float("inf")
+
+#: EZ-flow's thresholds and window bounds (the paper's defaults).
+_EZFLOW = EZFlowConfig()
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Parameters of the slotted model (paper defaults)."""
+    """Shape of the slotted model: the chain's hop count.
+
+    Buffers are unbounded, as Theorem 1's stability definition needs.
+    """
 
     hops: int = 4
-    b_min: float = 0.05
-    b_max: float = 20.0
-    mincw: int = 16
-    maxcw: int = 32768
-    buffer_cap: Optional[int] = None  # None = infinite buffers (stability defn)
 
     def __post_init__(self):
         if self.hops < 2:
             raise ValueError("need at least 2 hops")
-        if not 0 <= self.b_min < self.b_max:
-            raise ValueError("need 0 <= b_min < b_max")
 
 
 class EZFlowRule:
@@ -50,8 +51,8 @@ class EZFlowRule:
 
     def update(self, cw: List[int], buffers: List[float]) -> None:
         """Apply f(cw_i, b_{i+1}) to every node's window in place."""
-        cfg = self.config
-        hops = cfg.hops
+        cfg = _EZFLOW
+        hops = self.config.hops
         for i in range(hops):
             # b_{i+1}: the destination's buffer (i+1 == hops) is always 0.
             b_next = buffers[i + 1] if i + 1 < hops else 0.0
@@ -89,7 +90,7 @@ class SlottedChainModel:
             if len(initial_buffers) != hops - 1:
                 raise ValueError("initial_buffers must cover relays 1..K-1")
             self.buffers[1:] = [float(b) for b in initial_buffers]
-        self.cw: List[int] = [self.config.mincw] * hops
+        self.cw: List[int] = [_EZFLOW.mincw] * hops
         if initial_cw is not None:
             if len(initial_cw) != hops:
                 raise ValueError("initial_cw must cover nodes 0..K-1")
@@ -112,15 +113,11 @@ class SlottedChainModel:
 
     def step(self) -> Tuple[int, ...]:
         """Advance one slot; returns the activation vector drawn."""
-        cfg = self.config
-        hops = cfg.hops
+        hops = self.config.hops
         pattern = sample_activation(self.buffers, self.cw, hops, self.rng)
         # Eq. (3): b_i += z_{i-1} - z_i for the relays.
         for i in range(1, hops):
-            b = self.buffers[i] + pattern[i - 1] - pattern[i]
-            if cfg.buffer_cap is not None:
-                b = min(b, float(cfg.buffer_cap))
-            self.buffers[i] = max(0.0, b)
+            self.buffers[i] = max(0.0, self.buffers[i] + pattern[i - 1] - pattern[i])
         if pattern[hops - 1]:
             self.delivered += 1
         # Eq. (2): windows react to the *new* buffer state.

@@ -1,32 +1,34 @@
 """Static penalty strategy from Aziz et al. [9] (SECON 2009).
 
-Stabilises a K-hop chain by throttling the *source*: with relay
-contention windows at ``cw_relay``, the source uses
-``cw_source = cw_relay / q`` for a throttling factor ``q in (0, 1]``.
-The drawback the paper highlights is that the right ``q`` is
-topology-dependent — EZ-flow exists to discover it automatically. The
-simulations indeed converge to the static solution (e.g. scenario 1
-single-flow: relays at 2^4, source at 2^7).
+Stabilises a K-hop chain by throttling the *source*: relays keep
+802.11's default window ``cw_relay`` (``DcfConfig``'s ``cwmin``), and
+the source uses ``cw_source = cw_relay / q`` for a throttling factor
+``q in (0, 1]``, capped at EZ-flow's ``maxcw``. The drawback the paper
+highlights is that the right ``q`` is topology-dependent — EZ-flow
+exists to discover it automatically. The simulations indeed converge to
+the static solution (e.g. scenario 1 single-flow: relays at 2^4, source
+at 2^7).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable
 
+from repro.core.config import EZFlowConfig
+from repro.mac.dcf import DcfConfig
 from repro.net.node import NodeStack
 
 
 class PenaltyStrategy:
     """Fixed contention-window assignment: throttled source, fast relays."""
 
-    def __init__(self, q: float, cw_relay: int = 16, maxcw: int = 32768):
+    cw_relay = DcfConfig().cwmin
+    maxcw = EZFlowConfig().maxcw
+
+    def __init__(self, q: float):
         if not 0.0 < q <= 1.0:
             raise ValueError("q must be in (0, 1]")
-        if cw_relay < 1 or cw_relay & (cw_relay - 1):
-            raise ValueError("cw_relay must be a positive power of two")
         self.q = q
-        self.cw_relay = cw_relay
-        self.maxcw = maxcw
 
     def source_cw(self) -> int:
         """Source window = cw_relay / q, rounded up to a power of two."""
@@ -50,9 +52,8 @@ def apply_penalty(
     nodes: Dict[Hashable, NodeStack],
     sources: Iterable[Hashable],
     q: float,
-    cw_relay: int = 16,
 ) -> PenaltyStrategy:
     """Convenience wrapper: build and apply a :class:`PenaltyStrategy`."""
-    strategy = PenaltyStrategy(q, cw_relay)
+    strategy = PenaltyStrategy(q)
     strategy.apply(nodes, sources)
     return strategy

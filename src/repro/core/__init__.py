@@ -11,18 +11,17 @@ Two cooperating modules per (node, successor) pair:
 
 :class:`~repro.core.controller.EZFlowController` wires one (BOE, CAA)
 pair onto every forwarding/source queue of a node stack.
+:class:`~repro.core.ratecaa.RateEZFlowController` is the same controller
+with the Section 7 actuator: each CAA window paces a routing-layer
+queue (:class:`~repro.core.ratecaa.RateScheduler`) instead of setting
+CWmin.
 """
 
 from repro.core.boe import BufferOccupancyEstimator
 from repro.core.caa import ChannelAccessAdapter
 from repro.core.config import EZFlowConfig
 from repro.core.controller import EZFlowController, attach_ezflow
-from repro.core.ratecaa import (
-    RateCaa,
-    RateEZFlowController,
-    RateScheduler,
-    attach_rate_ezflow,
-)
+from repro.core.ratecaa import RateEZFlowController, RateScheduler, attach_rate_ezflow
 
 __all__ = [
     "BufferOccupancyEstimator",
@@ -30,7 +29,6 @@ __all__ = [
     "EZFlowConfig",
     "EZFlowController",
     "attach_ezflow",
-    "RateCaa",
     "RateEZFlowController",
     "RateScheduler",
     "attach_rate_ezflow",

@@ -30,11 +30,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Hashable, List, Optional
 
+from repro.core.config import EZFlowConfig
+
 
 class BufferOccupancyEstimator:
     """Passive successor-buffer estimation for one (node, successor) pair."""
 
-    def __init__(self, successor: Hashable, history_size: int = 1000):
+    def __init__(self, successor: Hashable, history_size: int = EZFlowConfig.history_size):
         if history_size < 2:
             raise ValueError("history_size must be >= 2")
         self.successor = successor

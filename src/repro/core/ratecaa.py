@@ -7,25 +7,24 @@ queue to the MAC*, instead of touching ``CWmin`` (implementable with
 Click, no driver support needed).
 
 ``RateScheduler`` implements that routing-layer queue: packets destined
-to one successor are held in an unbounded-capacity upper queue and
-released into the (small) MAC queue on a paced clock. ``RateCaa``
-adapts the pacing interval with exactly the CAA state machine —
-50-sample averages, ``b_min``/``b_max`` thresholds, the cw-style
-countup/countdown hysteresis — but the actuator halves/doubles the
-release *rate* instead of the contention window.
+to one successor are held in a bounded upper queue (``upper_capacity``
+packets) and released into the (small) MAC queue on a paced clock.
+``RateEZFlowController`` is :class:`~repro.core.controller.EZFlowController`
+with another actuator: the same BOE and CAA (Algorithm 1) per
+successor, whose window sets the pacer's release rate instead of the
+MAC's ``CWmin``.
 
-``attach_rate_ezflow`` wires a (BOE, RateCaa, RateScheduler) triple per
-successor onto a node stack, mirroring :func:`repro.core.controller.attach_ezflow`.
+``attach_rate_ezflow`` attaches it to every node of a network,
+mirroring :func:`repro.core.controller.attach_ezflow`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Optional, Tuple
 
-from repro.core.boe import BufferOccupancyEstimator
 from repro.core.config import EZFlowConfig
-from repro.mac.frames import Frame, FrameKind
+from repro.core.controller import EZFlowController
+from repro.mac.frames import Frame
 from repro.mac.queues import FifoQueue
 from repro.net.node import NodeStack
 from repro.net.packet import Packet
@@ -34,10 +33,7 @@ from repro.sim.units import US_PER_S
 
 NodeId = Hashable
 
-#: Pacing-rate bounds in packets/second. The ratio maxrate/minrate
-#: matches maxcw/mincw = 2^11, so the rate variant spans the same
-#: dynamic range as the cw variant.
-MIN_RATE_PPS = 0.125
+#: Pacing rate at the CAA's smallest window (``mincw``), in packets/second.
 MAX_RATE_PPS = 256.0
 
 
@@ -102,77 +98,19 @@ class RateScheduler:
         self._arm()
 
 
-class RateCaa:
-    """The CAA state machine with a pacing-rate actuator.
+class RateEZFlowController(EZFlowController):
+    """EZ-flow whose CAA paces a routing-layer queue per successor.
 
-    Identical thresholds and hysteresis to the cw-based CAA; the
-    "aggressiveness" ladder is the release rate, so *over*utilisation
-    halves the rate (≙ doubling cw) and underutilisation doubles it.
-    The hysteresis counters reuse the cw ladder position: a node
-    already throttled hard reacts quickly to underutilisation and
-    slowly to overutilisation, preserving the fairness bias.
+    The BOE and CAA per successor are the base controller's; only the
+    actuator differs. Each CAA window ``cw`` sets its pacer's release
+    rate to ``MAX_RATE_PPS * mincw / cw`` and leaves the MAC's CWmin
+    alone, so doubling the window halves the rate, and the window
+    bounds map onto 256 down to 0.125 pkt/s at the paper's defaults.
     """
 
-    def __init__(
-        self,
-        config: EZFlowConfig,
-        scheduler: RateScheduler,
-        initial_rate_pps: float = MAX_RATE_PPS,
-    ):
-        self.config = config
-        self.scheduler = scheduler
-        self.rate_pps = initial_rate_pps
-        self.countup = 0
-        self.countdown = 0
-        self._samples: List[int] = []
-        scheduler.set_rate(self.rate_pps)
-
-    def _ladder_position(self) -> int:
-        """Equivalent of log2(cw): number of halvings below MAX_RATE."""
-        return max(0, int(round(math.log2(MAX_RATE_PPS / self.rate_pps)))) + 4
-
-    def on_sample(self, b_successor: int) -> Optional[float]:
-        """Feed one raw BOE sample; decides per ``sample_window`` batch."""
-        self._samples.append(b_successor)
-        if len(self._samples) < self.config.sample_window:
-            return None
-        average = sum(self._samples) / len(self._samples)
-        self._samples.clear()
-        return self._decide(average)
-
-    def _decide(self, average: float) -> float:
-        cfg = self.config
-        position = self._ladder_position()
-        if average > cfg.b_max:
-            self.countdown = 0
-            self.countup += 1
-            if self.countup >= max(1, position):
-                self.rate_pps = max(self.rate_pps / 2, MIN_RATE_PPS)
-                self.countup = 0
-        elif average < cfg.b_min:
-            self.countup = 0
-            self.countdown += 1
-            if self.countdown >= max(1, cfg.countdown_base - position):
-                self.rate_pps = min(self.rate_pps * 2, MAX_RATE_PPS)
-                self.countdown = 0
-        else:
-            self.countup = 0
-            self.countdown = 0
-        self.scheduler.set_rate(self.rate_pps)
-        return average
-
-
-class RateEZFlowController:
-    """Rate-variant EZ-flow at one node: BOE + RateCaa per successor."""
-
     def __init__(self, node: NodeStack, config: Optional[EZFlowConfig] = None):
-        self.node = node
-        self.config = config or EZFlowConfig()
-        self.boes: Dict[NodeId, BufferOccupancyEstimator] = {}
-        self.caas: Dict[NodeId, RateCaa] = {}
+        super().__init__(node, config)
         self.schedulers: Dict[NodeId, RateScheduler] = {}
-        node.sent_callbacks.append(self._on_packet_sent)
-        node.sniffer_callbacks.append(self._on_overheard)
         self._wrap_queues()
 
     def _wrap_queues(self) -> None:
@@ -207,37 +145,20 @@ class RateEZFlowController:
     def _scheduler_for(self, successor: NodeId) -> RateScheduler:
         if successor not in self.schedulers:
             queue, entity = self.node.queue_for("fwd", successor)
-            scheduler = RateScheduler(
+            self.schedulers[successor] = RateScheduler(
                 self.node.engine, queue, entity.notify_enqueue
             )
-            boe = BufferOccupancyEstimator(successor, self.config.history_size)
-            caa = RateCaa(self.config, scheduler)
-            boe.sample_callbacks.append(caa.on_sample)
-            self.schedulers[successor] = scheduler
-            self.boes[successor] = boe
-            self.caas[successor] = caa
+            # After the scheduler: the new CAA applies its initial window.
+            self._machinery_for(successor)
         return self.schedulers[successor]
 
-    def _on_packet_sent(self, entity, packet: Packet, frame: Frame, now: int) -> None:
-        if packet.dst == entity.successor:
-            return
-        # Machinery exists for any successor we pace toward; packets on
-        # unpaced queues (none, in practice) are ignored.
-        boe = self.boes.get(entity.successor)
-        if boe is not None:
-            boe.note_sent(packet.checksum)
-
-    def _on_overheard(self, frame: Frame, now: int) -> None:
-        if frame.kind is not FrameKind.DATA or frame.packet is None:
-            return
-        boe = self.boes.get(frame.src)
-        if boe is not None:
-            boe.note_overheard(frame.packet.checksum)
+    def _apply_cwmin(self, successor: NodeId, cw: int) -> None:
+        self.schedulers[successor].set_rate(MAX_RATE_PPS * self.config.mincw / cw)
 
     def current_rate(self, successor: NodeId) -> Optional[float]:
         """Current pacing rate toward ``successor`` in pkt/s (None if unknown)."""
-        caa = self.caas.get(successor)
-        return caa.rate_pps if caa is not None else None
+        scheduler = self.schedulers.get(successor)
+        return scheduler.rate_pps if scheduler is not None else None
 
 
 def attach_rate_ezflow(

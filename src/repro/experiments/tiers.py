@@ -48,8 +48,6 @@ from repro.topology.meshgen import (
     mean_degree,
 )
 from repro.traffic.workloads import (
-    MEAN_OFF_S,
-    MEAN_ON_S,
     PACKET_BYTES,
     WINDOW,
     WorkloadSpec,
@@ -403,8 +401,6 @@ def run_slotted(ir: MeshScenarioIR) -> ExperimentResult:
                     if kind == "onoff"
                     else None
                 ),
-                mean_on_s=MEAN_ON_S,
-                mean_off_s=MEAN_OFF_S,
             )
         )
 

@@ -28,13 +28,17 @@ pieces are generalised from chains to arbitrary connectivity maps:
   matching :mod:`repro.phy`), buffer recursion ``b += z_in - z_out``,
   then the cw rule.
 
-The module is dependency-free by design (duck-typed connectivity,
-injected RNG streams, loss models as a callable): it is the execution
-core behind the ``fidelity=slotted`` engine tier
-(:mod:`repro.experiments.tiers`), while scenario wiring — topology
-generation, routes, loss/churn schedules, metrics — stays in the
-harness layers. Deliberate approximations versus the event tier are
-documented on :class:`SlottedMesh`.
+Connectivity is duck-typed, RNG streams are injected and loss models
+are a callable: it is the execution core behind the
+``fidelity=slotted`` engine tier (:mod:`repro.experiments.tiers`),
+while scenario wiring — topology generation, routes, loss/churn
+schedules, metrics — stays in the harness layers. The parameters the
+two tiers share are read from their one declaration: EZ-flow's
+thresholds and window bounds from :class:`~repro.core.config.EZFlowConfig`,
+DCF's windows and retry limit from :class:`~repro.mac.dcf.DcfConfig`,
+the queue capacity from :mod:`repro.mac.queues` and the on/off means
+from :mod:`repro.traffic.workloads`. Deliberate approximations versus
+the event tier are documented on :class:`SlottedMesh`.
 """
 
 from __future__ import annotations
@@ -45,12 +49,16 @@ from dataclasses import dataclass
 from itertools import accumulate, filterfalse
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.core.config import EZFlowConfig
+from repro.mac.dcf import DcfConfig
+from repro.mac.queues import DEFAULT_CAPACITY
+from repro.traffic.workloads import MEAN_OFF_S, MEAN_ON_S
+
 NodeId = Hashable
 
-#: Event-tier DCF defaults (repro.mac.dcf.DcfConfig) mirrored here so
-#: the core stays import-free.
-DEFAULT_CWMIN = 16
-DEFAULT_MAXCW = 32768
+#: The event tier's defaults, which this tier runs with.
+_EZFLOW = EZFlowConfig()
+_DCF = DcfConfig()
 
 
 def sample_transmitters(
@@ -207,10 +215,10 @@ class EZFlowCw(_BacklogRule):
     """
 
     #: The paper's thresholds and window bounds (``EZFlowConfig``'s).
-    b_min = 0.05
-    b_max = 20.0
-    mincw = DEFAULT_CWMIN
-    maxcw = DEFAULT_MAXCW
+    b_min = _EZFLOW.b_min
+    b_max = _EZFLOW.b_max
+    mincw = _EZFLOW.mincw
+    maxcw = _EZFLOW.maxcw
 
     def __init__(self):
         self.set_routes({})
@@ -283,8 +291,9 @@ class SlottedFlow:
 
     Kinds mirror :mod:`repro.traffic.workloads`: ``cbr`` accrues
     fractional packet credit per slot (deterministic), ``onoff`` gates
-    the same credit behind exponential on/off phases drawn from the
-    flow's own stream, ``windowed`` keeps ``window`` packets in flight
+    the same credit behind exponential on/off phases (that module's
+    ``MEAN_ON_S``/``MEAN_OFF_S``) drawn from the flow's own stream,
+    ``windowed`` keeps ``window`` packets in flight
     (instant-ACK approximation: no reverse traffic, no retransmits, so
     delivery is in order by construction).
     """
@@ -298,8 +307,6 @@ class SlottedFlow:
         pkts_per_slot: float = 0.0,
         window: int = 0,
         stream=None,
-        mean_on_s: float = 4.0,
-        mean_off_s: float = 2.0,
     ):
         if kind not in ("cbr", "onoff", "windowed"):
             raise ValueError(f"unknown slotted workload kind {kind!r}")
@@ -316,8 +323,6 @@ class SlottedFlow:
         self.pkts_per_slot = pkts_per_slot
         self.window = window
         self.stream = stream
-        self.mean_on_s = mean_on_s
-        self.mean_off_s = mean_off_s
         self.generated = 0
         self.delivered = 0
         self.lost = 0  # dropped in-network (tail drop, retry limit)
@@ -334,10 +339,10 @@ class SlottedFlow:
             return max(0, self.window - in_flight)
         if self.kind == "onoff":
             if self._phase_end_s is None:
-                self._phase_end_s = self.stream.expovariate(1.0 / self.mean_on_s)
+                self._phase_end_s = self.stream.expovariate(1.0 / MEAN_ON_S)
             while now_s >= self._phase_end_s:
                 self._on = not self._on
-                mean = self.mean_on_s if self._on else self.mean_off_s
+                mean = MEAN_ON_S if self._on else MEAN_OFF_S
                 self._phase_end_s += self.stream.expovariate(1.0 / mean)
             if not self._on:
                 return 0
@@ -390,7 +395,7 @@ class SlottedMesh:
     starvation unfairness and bounded queues.
 
     Queues are bounded (``buffer_cap`` packets per node, the event
-    MAC's 50-packet FIFO): source injections beyond the cap tail-drop
+    MAC's FIFO capacity): source injections beyond the cap tail-drop
     (still counted as generated, like the event sources), and a relayed
     packet arriving at a full queue is lost after the MAC-level success.
 
@@ -403,9 +408,9 @@ class SlottedMesh:
 
     #: DCF's window cap and retry limit, and the per-node queue capacity:
     #: the event tier's ``DcfConfig`` and FIFO defaults.
-    cwmax = 1024
-    retry_limit = 7
-    buffer_cap = 50
+    cwmax = _DCF.cwmax
+    retry_limit = _DCF.retry_limit
+    buffer_cap = DEFAULT_CAPACITY
 
     def __init__(
         self,
@@ -438,7 +443,7 @@ class SlottedMesh:
         # active_filter=None asserts the map never mutates, which also
         # means a planned next hop can never be a stale (churned) link.
         self._static = active_filter is None
-        self.cw: Dict[NodeId, int] = {node: DEFAULT_CWMIN for node in self._nodes}
+        self.cw: Dict[NodeId, int] = dict.fromkeys(self._nodes, _DCF.cwmin)
         if initial_cw:
             self.cw.update(initial_cw)
         #: Consecutive failed attempts for the head packet, per node.
@@ -462,14 +467,11 @@ class SlottedMesh:
         self._planned: Dict[NodeId, Tuple[int, NodeId]] = {}
         #: Static rules (FixedCw) skip the per-slot rule call.
         self._adaptive = self.rule.adapts
-        #: Every window stays at the (power-of-two) default forever:
-        #: contention can take the exact uniform-draw fast path of
-        #: :func:`sample_transmitters` whenever nobody is in backoff.
-        self._uniform_cw = (
-            not self._adaptive
-            and not initial_cw
-            and DEFAULT_CWMIN & (DEFAULT_CWMIN - 1) == 0
-        )
+        #: Every window stays at the default forever (``DcfConfig``
+        #: checks it is a power of two): contention can take the exact
+        #: uniform-draw fast path of :func:`sample_transmitters`
+        #: whenever nobody is in backoff.
+        self._uniform_cw = not self._adaptive and not initial_cw
         self.parents: Dict[NodeId, Dict[NodeId, NodeId]] = {}
         self._trees: List[Dict[NodeId, NodeId]] = [{} for _ in self.flows]
         self.successors: Dict[NodeId, Tuple[NodeId, ...]] = {}

@@ -104,18 +104,12 @@ class CbrSource(_SourceBase):
 class SaturatedSource(_SourceBase):
     """Keeps the source queue full — the greedy access point of Figure 1.
 
-    Refills the node's own-traffic queue to capacity every
-    ``POLL_INTERVAL_US``; the MAC therefore never idles for lack of local
-    traffic.
+    Refills the node's own-traffic queue (``NodeStack.own_queue``, as
+    every source resolves it) to capacity every ``POLL_INTERVAL_US``;
+    the MAC therefore never idles for lack of local traffic.
     """
 
     POLL_INTERVAL_US = 2_000
-
-    def __init__(self, engine: Engine, node: NodeStack, flow: Flow):
-        super().__init__(engine, node, flow)
-        # Routing is static for the lifetime of a network, so the (queue,
-        # entity) pair is resolved once instead of on every 2 ms poll.
-        self._target = None
 
     def _tick(self) -> None:
         engine = self.engine
@@ -126,10 +120,7 @@ class SaturatedSource(_SourceBase):
             return
         # active_at(now) inlined: the stop bound is already checked.
         if now >= flow.start_us:
-            if self._target is None:
-                next_hop = self.node.routing.next_hop(self.node.node_id, flow.dst)
-                self._target = self.node.queue_for("own", next_hop)
-            queue, entity = self._target
+            queue, entity = self.node.own_queue(flow.dst)
             if not queue.is_full():
                 while not queue.is_full():
                     queue.push(self._make_packet())

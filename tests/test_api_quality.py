@@ -144,20 +144,36 @@ def unused_imports(path):
     )
 
 
+def unused_imports_under(root):
+    """``path:line name`` of every unused import in the non-``__init__``
+    modules under ``root``, paths relative to ``root``."""
+    unused = []
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for filename in sorted(filenames):
+            if not filename.endswith(".py") or filename == "__init__.py":
+                continue
+            path = os.path.join(dirpath, filename)
+            unused += [
+                f"{os.path.relpath(path, root)}:{line} {name}"
+                for line, name in unused_imports(path)
+            ]
+    return unused
+
+
 class TestImportHygiene:
     def test_no_module_imports_an_unused_name(self):
         """Every non-``__init__`` module under ``repro`` uses what it imports."""
-        root = os.path.dirname(os.path.abspath(repro.__file__))
-        unused = []
-        for dirpath, _dirnames, filenames in os.walk(root):
-            for filename in sorted(filenames):
-                if not filename.endswith(".py") or filename == "__init__.py":
-                    continue
-                path = os.path.join(dirpath, filename)
-                unused += [
-                    f"{os.path.relpath(path, root)}:{line} {name}"
-                    for line, name in unused_imports(path)
-                ]
+        unused = unused_imports_under(os.path.dirname(os.path.abspath(repro.__file__)))
+        assert not unused, unused
+
+    def test_no_test_benchmark_or_example_imports_an_unused_name(self):
+        """The same check over the tests, the benchmarks and the examples."""
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        unused = [
+            f"{top}/{entry}"
+            for top in ("tests", "benchmarks", "examples")
+            for entry in unused_imports_under(os.path.join(repo, top))
+        ]
         assert not unused, unused
 
     def test_check_sees_reads_exports_and_exemptions(self, tmp_path):

@@ -10,7 +10,7 @@ from repro.topology.linear import linear_chain
 
 class TestPenaltyStrategy:
     def test_source_cw_from_q(self):
-        strategy = PenaltyStrategy(q=1 / 8, cw_relay=16)
+        strategy = PenaltyStrategy(q=1 / 8)
         assert strategy.source_cw() == 128
 
     def test_q_one_means_no_throttling(self):
@@ -22,13 +22,8 @@ class TestPenaltyStrategy:
         with pytest.raises(ValueError):
             PenaltyStrategy(q=1.5)
 
-    def test_cw_relay_power_of_two(self):
-        with pytest.raises(ValueError):
-            PenaltyStrategy(q=0.5, cw_relay=20)
-
     def test_source_cw_capped_at_maxcw(self):
-        strategy = PenaltyStrategy(q=1e-9, cw_relay=16, maxcw=1024)
-        assert strategy.source_cw() == 1024
+        assert PenaltyStrategy(q=1e-9).source_cw() == 32768
 
     def test_apply_sets_entity_windows(self):
         network = linear_chain(hops=3, seed=1)

@@ -4,7 +4,7 @@ erasures and overhearing."""
 import pytest
 
 from repro.phy.channel import Channel, PhyListener
-from repro.phy.connectivity import ExplicitConnectivity, GeometricConnectivity
+from repro.phy.connectivity import GeometricConnectivity
 from repro.phy.propagation import RangeModel
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry

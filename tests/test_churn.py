@@ -19,7 +19,6 @@ from repro.sim.rng import RngRegistry
 from repro.topology.churn import (
     ChurnDriver,
     ChurnEvent,
-    ChurnSchedule,
     ChurnSpecError,
     parse_churn_spec,
 )

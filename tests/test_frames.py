@@ -3,7 +3,6 @@
 from repro.mac.frames import (
     MAC_ACK_BYTES,
     MAC_DATA_HEADER_BYTES,
-    Frame,
     FrameKind,
     make_ack_frame,
     make_data_frame,

@@ -12,7 +12,6 @@ from repro.analysis.lyapunov import (
     verify_theorem1,
 )
 from repro.analysis.regions import region_of
-from repro.analysis.slotted import ModelConfig
 
 
 class TestLyapunovFunction:

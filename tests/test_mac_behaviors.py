@@ -1,8 +1,6 @@
 """Deeper MAC behaviour tests: EIFS, hidden terminals, timing, capture
 interplay — the micro-mechanics the turbulence phenomena rest on."""
 
-import pytest
-
 from repro.mac.dcf import Dcf, DcfConfig, TxEntity
 from repro.mac.queues import FifoQueue
 from repro.net.packet import Packet

@@ -22,7 +22,6 @@ from repro.topology.meshgen import (
     MESH_KINDS,
     MeshGenError,
     MeshSpec,
-    MeshTopology,
     build_mesh_network,
     clear_cache,
     generate_topology,

@@ -5,8 +5,7 @@ import pytest
 from repro.core.config import EZFlowConfig
 from repro.core.ratecaa import (
     MAX_RATE_PPS,
-    MIN_RATE_PPS,
-    RateCaa,
+    RateEZFlowController,
     RateScheduler,
     attach_rate_ezflow,
 )
@@ -16,9 +15,6 @@ from repro.sim.engine import Engine
 from repro.sim.units import seconds
 from repro.topology.linear import linear_chain
 from repro.topology.trees import tree_backhaul
-
-# Heavy end-to-end simulations: excluded from the CI fast lane.
-pytestmark = pytest.mark.slow
 
 
 def packet(seq=1):
@@ -87,51 +83,37 @@ class TestRateScheduler:
         assert scheduler.released == 20
 
 
-class TestRateCaa:
-    def make(self, window=1, initial=MAX_RATE_PPS):
-        engine = Engine()
-        scheduler = RateScheduler(engine, FifoQueue(), lambda: None)
-        config = EZFlowConfig(sample_window=window)
-        return RateCaa(config, scheduler, initial_rate_pps=initial), scheduler
-
-    def test_overutilization_halves_rate(self):
-        caa, scheduler = self.make()
-        # Ladder position at max rate is 4 -> 4 consecutive windows.
-        for _ in range(4):
+class TestRateActuator:
+    def test_caa_window_sets_pacing_rate(self):
+        network = linear_chain(hops=2, seed=1)
+        config = EZFlowConfig(sample_window=1)
+        controller = RateEZFlowController(network.nodes[0], config)
+        network.nodes[0].own_queue(2)  # builds the pacer and CAA toward node 1
+        caa = controller.caas[1]
+        assert controller.current_rate(1) == MAX_RATE_PPS == 256.0
+        for _ in range(4):  # countup threshold at cw 16: log2(16)
             caa.on_sample(50)
-        assert caa.rate_pps == MAX_RATE_PPS / 2
-        assert scheduler.rate_pps == caa.rate_pps
-
-    def test_underutilization_doubles_rate(self):
-        caa, scheduler = self.make(initial=MAX_RATE_PPS / 4)
-        # position = log2(256/64)+4 = 6 -> countdown threshold 15-6 = 9
-        for _ in range(9):
+        assert controller.current_rate(1) == 128.0
+        for _ in range(10):  # countdown threshold at cw 32: 15 - log2(32)
             caa.on_sample(0)
-        assert caa.rate_pps == MAX_RATE_PPS / 2
+        assert controller.current_rate(1) == 256.0
+        while caa.cw < config.maxcw:
+            caa.on_sample(50)
+        assert caa.cw == 32768
+        assert controller.current_rate(1) == 0.125
+        # The actuator is the pacer: the MAC keeps 802.11's CWmin.
+        assert network.nodes[0].mac.entities[0].cwmin == 16
 
-    def test_rate_bounded(self):
-        caa, scheduler = self.make(initial=MIN_RATE_PPS)
-        for _ in range(200):
-            caa.on_sample(1000)
-        assert caa.rate_pps == MIN_RATE_PPS
-        caa2, _ = self.make(initial=MAX_RATE_PPS)
-        for _ in range(200):
-            caa2.on_sample(0)
-        assert caa2.rate_pps == MAX_RATE_PPS
-
-    def test_window_averaging(self):
-        caa, scheduler = self.make(window=10)
-        for i in range(9):
-            assert caa.on_sample(100) is None
-        assert caa.on_sample(100) == 100.0
-
-    def test_mid_band_freezes(self):
-        caa, scheduler = self.make()
-        for _ in range(30):
-            caa.on_sample(5.0)
-        assert caa.rate_pps == MAX_RATE_PPS
+    def test_saturated_source_is_paced(self):
+        network = linear_chain(hops=2, seed=1)  # the greedy access point
+        controllers = attach_rate_ezflow(network.nodes)
+        network.run(until_us=seconds(1))
+        assert set(controllers[0].schedulers) == {1}
+        assert controllers[0].schedulers[1].released > 0
 
 
+# Heavy end-to-end simulations: excluded from the CI fast lane.
+@pytest.mark.slow
 class TestRateControllerEndToEnd:
     def test_stabilizes_4hop_chain(self):
         network = linear_chain(hops=4, seed=3, rate_bps=2_000_000)

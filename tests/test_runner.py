@@ -9,7 +9,6 @@ import pytest
 
 from repro.experiments.export import export_records
 from repro.experiments.runner import (
-    RunRequest,
     SweepRunner,
     catalogue_requests,
     execute_request,

@@ -31,7 +31,6 @@ from repro.experiments.specs import (
 )
 from repro.results import RUN_FAILURE_SCHEMA, RUN_RESULT_SCHEMA, Study
 from repro.service import JOB_SCHEMA, STATUS_SCHEMA, JobError, ServiceApp, SweepService, build_study
-from repro.service.http import serve
 
 # A scenario cheap enough to run many times in tests (test_store.py's).
 FAST = {"slots": 1500, "trials": 15}

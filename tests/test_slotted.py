@@ -9,22 +9,13 @@ from repro.analysis.slotted import (
     ModelConfig,
     SlottedChainModel,
 )
+from repro.core.config import EZFlowConfig
 
 
 class TestModelConfig:
-    def test_paper_defaults(self):
-        config = ModelConfig()
-        assert config.hops == 4
-        assert config.b_min == 0.05
-        assert config.b_max == 20.0
-        assert config.mincw == 16
-        assert config.maxcw == 32768
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(hops=1)
-        with pytest.raises(ValueError):
-            ModelConfig(b_min=5.0, b_max=1.0)
 
 
 class TestEZFlowRule:
@@ -52,12 +43,12 @@ class TestEZFlowRule:
         assert cw[3] == 32
 
     def test_bounds_respected(self):
-        config = ModelConfig()
-        rule = EZFlowRule(config)
-        cw = [config.maxcw, config.mincw, 16, 16]
+        ezflow = EZFlowConfig()
+        rule = EZFlowRule(ModelConfig())
+        cw = [ezflow.maxcw, ezflow.mincw, 16, 16]
         rule.update(cw, [float("inf"), 25.0, 0.0, 0.0])
-        assert cw[0] == config.maxcw
-        assert cw[1] == config.mincw
+        assert cw[0] == ezflow.maxcw
+        assert cw[1] == ezflow.mincw
 
     def test_fixed_rule_never_changes(self):
         cw = [16, 32, 64, 128]
@@ -107,13 +98,6 @@ class TestSlottedChainModel:
         model.run(5000)
         assert model.delivered > 0
 
-    def test_buffer_cap_enforced(self):
-        model = SlottedChainModel(
-            ModelConfig(hops=4, buffer_cap=10), rule=FixedCwRule(), seed=4
-        )
-        model.run(20_000)
-        assert all(b <= 10 for b in model.relay_buffers)
-
     def test_deterministic_given_seed(self):
         a = SlottedChainModel(ModelConfig(hops=4), seed=9)
         b = SlottedChainModel(ModelConfig(hops=4), seed=9)
@@ -148,9 +132,9 @@ class TestSlottedChainModel:
     @given(st.integers(0, 1000))
     @settings(max_examples=20, deadline=None)
     def test_property_cw_stays_power_of_two(self, seed):
-        config = ModelConfig(hops=4)
-        model = SlottedChainModel(config, seed=seed)
+        ezflow = EZFlowConfig()
+        model = SlottedChainModel(ModelConfig(hops=4), seed=seed)
         model.run(500)
         for cw in model.cw:
-            assert config.mincw <= cw <= config.maxcw
+            assert ezflow.mincw <= cw <= ezflow.maxcw
             assert cw & (cw - 1) == 0
