@@ -83,27 +83,47 @@ class TestRateScheduler:
         assert scheduler.released == 20
 
 
-class TestRateActuator:
-    def test_caa_window_sets_pacing_rate(self):
+class TestRateCaa:
+    """The rate variant's CAA (Algorithm 1) drives the pacing rate."""
+
+    def make(self):
         network = linear_chain(hops=2, seed=1)
-        config = EZFlowConfig(sample_window=1)
-        controller = RateEZFlowController(network.nodes[0], config)
+        controller = RateEZFlowController(
+            network.nodes[0], EZFlowConfig(sample_window=1)
+        )
         network.nodes[0].own_queue(2)  # builds the pacer and CAA toward node 1
-        caa = controller.caas[1]
+        return network, controller, controller.caas[1]
+
+    def test_overutilization_halves_rate(self):
+        network, controller, caa = self.make()
         assert controller.current_rate(1) == MAX_RATE_PPS == 256.0
         for _ in range(4):  # countup threshold at cw 16: log2(16)
             caa.on_sample(50)
-        assert controller.current_rate(1) == 128.0
-        for _ in range(10):  # countdown threshold at cw 32: 15 - log2(32)
-            caa.on_sample(0)
-        assert controller.current_rate(1) == 256.0
-        while caa.cw < config.maxcw:
-            caa.on_sample(50)
-        assert caa.cw == 32768
-        assert controller.current_rate(1) == 0.125
+        assert controller.current_rate(1) == MAX_RATE_PPS / 2
         # The actuator is the pacer: the MAC keeps 802.11's CWmin.
         assert network.nodes[0].mac.entities[0].cwmin == 16
 
+    def test_underutilization_doubles_rate(self):
+        network, controller, caa = self.make()
+        for _ in range(4 + 5):  # cw 16 -> 32 -> 64
+            caa.on_sample(50)
+        assert controller.current_rate(1) == MAX_RATE_PPS / 4
+        for _ in range(9):  # countdown threshold at cw 64: 15 - log2(64)
+            caa.on_sample(0)
+        assert controller.current_rate(1) == MAX_RATE_PPS / 2
+
+    def test_rate_bounded(self):
+        network, controller, caa = self.make()
+        for _ in range(200):
+            caa.on_sample(1000)
+        assert caa.cw == EZFlowConfig().maxcw == 32768
+        assert controller.current_rate(1) == 0.125
+        for _ in range(200):
+            caa.on_sample(0)
+        assert controller.current_rate(1) == MAX_RATE_PPS
+
+
+class TestRateActuator:
     def test_saturated_source_is_paced(self):
         network = linear_chain(hops=2, seed=1)  # the greedy access point
         controllers = attach_rate_ezflow(network.nodes)
